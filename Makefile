@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-chaos test-cluster test-tenant cover bench bench-smoke bench-hot bench-wire bench-tier bench-cluster experiments fuzz test-fuzz fmt vet lint clean
+.PHONY: all build test race test-chaos test-cluster test-tenant cover bench bench-smoke bench-hot perfbench experiments fuzz test-fuzz fmt vet lint clean
 
 # Tier-1 flow: compile, static checks, unit tests, the race detector over
 # every package (the concurrent store/appliance paths must stay
@@ -85,28 +85,14 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkConcurrentStore|BenchmarkRotationWhileServing' -benchtime 100ms .
 
-# Wire-protocol throughput/latency matrix: v1 vs v2 at 1/8/32 clients over
-# a 1 ms-latency backend, written as BENCH_wire.json for CI trend lines.
-# The v2 acceptance bar: shared-conn ops/s at ≥8 clients must beat v1
-# shared-conn by ≥2× (pipelining must actually overlap the backend waits).
-bench-wire:
-	$(GO) run ./cmd/benchwire -out BENCH_wire.json
-
-# RAM-tier cost-performance matrix: the golden Zipf workload at tier sizes
-# {off, 5%, 10% of the SSD cache} × {read, readwrite}, written as
-# BENCH_tier.json for CI trend lines. The tier-hit fraction shows the
-# paper's selectivity effect one level up: a few percent of capacity
-# absorbing the majority of read hits.
-bench-tier:
-	$(GO) run ./cmd/benchtier -out BENCH_tier.json
-
-# Cluster scale-out matrix: mixed Zipf read/write load against in-process
-# rings of 1/3/5 appliance nodes, healthy and with one node killed,
-# written as BENCH_cluster.json for CI trend lines. The degraded rows show
-# the failover tax: reads fall through to surviving replicas, writes to
-# the dead owner go through hinted handoff.
-bench-cluster:
-	$(GO) run ./cmd/benchcluster -out BENCH_cluster.json
+# The repository's end-to-end benchmark (perfbench/, declared by
+# BENCHMARK.json): the paper's ensemble trace through SieveStore-D, a
+# two-tenant Zipf hot set, and client → wire → cluster gateway → nodes.
+# Prints the host record and one JSON result line per workload; run
+# perfbench/run.sh directly for another --seed or the --trace 1
+# per-layer breakdown.
+perfbench:
+	for w in ensemble hotset gateway; do bash perfbench/run.sh --workload $$w || exit 1; done
 
 # Hit-path scaling sweep: pure cache-hit throughput at 1–8 GOMAXPROCS for
 # Shards=1 vs Shards=8. The headline number for the sharded-store work;

@@ -741,7 +741,7 @@ func BenchmarkHitPathParallel(b *testing.B) {
 			}{{"read", false}, {"readwrite", true}} {
 				// metrics=on adds the full observability cost to every op:
 				// two monotonic clock reads, the striped latency histogram
-				// (which also backs the flat OpLatency stats), and 1-in-64
+				// (which also backs the flat OpLatencySnapshot stats), and 1-in-64
 				// op-trace sampling. The acceptance bar is <5% regression
 				// against the seed's TrackLatency-only path; the gap against
 				// metrics=off is dominated by the clock reads, which any

@@ -27,6 +27,7 @@ import (
 	_ "net/http/pprof" // handlers on DefaultServeMux; only served when -pprof is set
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
@@ -397,21 +398,34 @@ func runGateway(cfg gatewayConfig) {
 	}
 }
 
-// writeSnapshot saves atomically via a temp file + rename.
+// writeSnapshot saves atomically and durably: the temp file is synced
+// before it is renamed over path, and the directory after, so a power
+// loss leaves either the old snapshot or the complete new one — never an
+// empty or torn file under the final name.
 func writeSnapshot(st *core.Store, path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := st.SaveSnapshot(f); err != nil {
-		f.Close()
+	err = st.SaveSnapshot(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	defer dir.Close()
+	return dir.Sync()
 }

@@ -17,12 +17,20 @@
 // encoding of core.Stats prefixed by a u32 length.
 //
 // Protocol v2 (negotiated per connection via OpHello; see wire2.go and
-// DESIGN.md §11) adds tagged pipelined frames with out-of-order
-// completion, OpReadV/OpWriteV scatter/gather ops, and zero-copy reads
-// served straight from pinned cache frames. v1 peers interoperate
-// unchanged: a server speaks v1 on every connection until that
-// connection completes a HELLO, and a client falls back to v1 when the
-// server rejects the HELLO.
+// DESIGN.md §11) adds a request tag so frames pipeline and complete out
+// of order, plus OpReadV/OpWriteV scatter/gather ops. v1 peers
+// interoperate unchanged: a server speaks v1 on every connection until
+// that connection completes a HELLO, and a client falls back to v1 when
+// the server rejects the HELLO.
+//
+// Both framings share one path per concern: one server connection loop
+// and op executor (server.go), one client op helper, one body reader and
+// one error-frame decoder. Only the header codec and the response prefix
+// differ, plus these per-protocol rules: v1 is served at depth 1, inline;
+// v1 checks the header ids on every op, v2 only on the ops whose header
+// addresses blocks (Read, Write, Invalidate); the vector ops exist only in
+// v2; and HELLO is an op only on a v1 connection. Reads in both are served
+// zero-copy from pinned cache frames where the blocks are resident.
 package appliance
 
 import (
@@ -38,7 +46,6 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/block"
 	"repro/internal/core"
 )
 
@@ -256,12 +263,6 @@ func (s *Server) StatsSnapshot() ServerStats {
 	}
 }
 
-// sendErr is writeErr with the server's error-frame counter attached.
-func (s *Server) sendErr(bw *bufio.Writer, err error) bool {
-	s.errorFrames.Add(1)
-	return writeErr(bw, err)
-}
-
 // Serve accepts connections on l until Close is called. It always returns a
 // non-nil error: net.ErrClosed after a clean shutdown, ErrAlreadyServing if
 // the server already has a listener (a Server serves at most once).
@@ -306,7 +307,8 @@ func (s *Server) Serve(l net.Listener) error {
 				defer s.wg.Done()
 				defer conn.Close()
 				conn.SetDeadline(time.Now().Add(time.Second))
-				s.sendErr(bufio.NewWriterSize(conn, 64), ErrServerBusy)
+				s.errorFrames.Add(1)
+				conn.Write(append([]byte{statusErr}, errBody(ErrServerBusy)...))
 				// Absorb whatever the peer already sent before closing:
 				// closing with unread data risks a reset that discards the
 				// busy frame before the peer reads it.
@@ -355,216 +357,6 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	s.wg.Wait()
 	return err
-}
-
-// serveConn handles one connection until EOF or error. I/O is buffered per
-// connection, and every response — status byte plus payload — is staged in
-// the write buffer and flushed once, so a round trip costs one write
-// syscall instead of two unbuffered ones.
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, connBufSize)
-	bw := bufio.NewWriterSize(conn, connBufSize)
-	hdr := make([]byte, headerSize)
-	var cp connPayload
-	for {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		} else if s.opts.IOTimeout > 0 {
-			// No idle bound: clear the previous request's I/O deadline so it
-			// cannot fire while the connection legitimately sits idle.
-			conn.SetDeadline(time.Time{})
-		}
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			return // EOF, idle timeout, or broken connection
-		}
-		// Header arrived: the request is live. Re-arm the deadline to cover
-		// the rest of this round trip (payload, store op, response flush),
-		// or clear the idle deadline so a slow store op is not cut short.
-		if s.opts.IOTimeout > 0 {
-			conn.SetDeadline(time.Now().Add(s.opts.IOTimeout))
-		} else if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Time{})
-		}
-		s.requests.Add(1)
-		h, err := decodeHeader(hdr)
-		if err != nil {
-			s.sendErr(bw, err)
-			return
-		}
-		// Reject IDs the packed block.Key cannot represent before they
-		// reach the store: MakeKey treats out-of-range components as a
-		// caller bug and panics, and a remote peer must not be able to
-		// take the daemon down with a stray header. The frame itself is
-		// well-formed, so answer with an error and keep the connection.
-		if int(h.server) >= block.MaxServers || int(h.volume) >= block.MaxVolumes {
-			if h.op == OpWrite {
-				// The write payload follows the header; drain it so the
-				// stream stays frame-aligned.
-				if _, err := io.CopyN(io.Discard, br, int64(h.length)); err != nil {
-					return
-				}
-			}
-			if !s.sendErr(bw, fmt.Errorf("appliance: server %d / volume %d out of range", h.server, h.volume)) {
-				return
-			}
-			continue
-		}
-		switch h.op {
-		case OpRead:
-			// Zero-copy fast path: pin the all-hit prefix's cache frames
-			// and write them to the wire directly; only the (miss) tail is
-			// read into a scratch buffer. ReadPinned accounts and logs the
-			// pinned blocks itself, so the two halves together count
-			// exactly like one ReadAt.
-			n := int(h.length)
-			pr := s.store.ReadPinned(int(h.server), int(h.volume), n, h.offset)
-			pinned := 0
-			if pr != nil {
-				pinned = pr.Bytes()
-			}
-			var tail []byte
-			if n > pinned || n == 0 {
-				tail = cp.get(n - pinned)
-				if err := s.store.ReadAt(int(h.server), int(h.volume), tail, h.offset+uint64(pinned)); err != nil {
-					if pr != nil {
-						pr.Release()
-					}
-					cp.put(tail)
-					if !s.sendErr(bw, err) {
-						return
-					}
-					continue
-				}
-			}
-			s.zeroCopyBytes.Add(int64(pinned))
-			bw.WriteByte(statusOK)
-			if pr != nil {
-				for _, v := range pr.Views() {
-					bw.Write(v)
-				}
-			}
-			if len(tail) > 0 {
-				bw.Write(tail)
-			}
-			flushed := bw.Flush() == nil
-			if pr != nil {
-				pr.Release()
-			}
-			cp.put(tail)
-			if !flushed {
-				return
-			}
-		case OpWrite:
-			buf := cp.get(int(h.length))
-			if _, err := io.ReadFull(br, buf); err != nil {
-				cp.put(buf)
-				return
-			}
-			err := s.store.WriteAt(int(h.server), int(h.volume), buf, h.offset)
-			cp.put(buf)
-			if err != nil {
-				if !s.sendErr(bw, err) {
-					return
-				}
-				continue
-			}
-			if !writeOK(bw, nil) {
-				return
-			}
-		case OpStats:
-			data, err := json.Marshal(s.store.Stats())
-			if err != nil {
-				if !s.sendErr(bw, err) {
-					return
-				}
-				continue
-			}
-			var lenBuf [4]byte
-			binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-			if !writeOK(bw, append(lenBuf[:], data...)) {
-				return
-			}
-		case OpRotate:
-			if err := s.store.RotateEpoch(); err != nil {
-				if !s.sendErr(bw, err) {
-					return
-				}
-				continue
-			}
-			if !writeOK(bw, nil) {
-				return
-			}
-		case OpInvalidate:
-			dropped, err := s.store.Invalidate(int(h.server), int(h.volume), h.offset, int(h.length))
-			if err != nil {
-				if !s.sendErr(bw, err) {
-					return
-				}
-				continue
-			}
-			var resp [4]byte
-			binary.BigEndian.PutUint32(resp[:], uint32(dropped))
-			if !writeOK(bw, resp[:]) {
-				return
-			}
-		case OpFlush:
-			if err := s.store.Flush(); err != nil {
-				if !s.sendErr(bw, err) {
-					return
-				}
-				continue
-			}
-			if !writeOK(bw, nil) {
-				return
-			}
-		case OpHello:
-			// Version negotiation: the v1-framed offset field carries the
-			// client's maximum supported version; the OK body is one byte,
-			// the negotiated version. ≥2 switches this connection to v2
-			// framing. A v1-pinned server treats HELLO as an unknown op —
-			// byte-exact with a pre-v2 server.
-			if s.opts.MaxProtocol == ProtocolV1 {
-				s.sendErr(bw, fmt.Errorf("%w: unknown op %d", ErrProtocol, h.op))
-				return
-			}
-			ver := byte(ProtocolV1)
-			if h.offset >= ProtocolV2 {
-				ver = ProtocolV2
-			}
-			if !writeOK(bw, []byte{ver}) {
-				return
-			}
-			if ver >= ProtocolV2 {
-				s.v2Conns.Add(1)
-				s.serveConnV2(conn, br, bw)
-				return
-			}
-		default:
-			s.sendErr(bw, fmt.Errorf("%w: unknown op %d", ErrProtocol, h.op))
-			return
-		}
-	}
-}
-
-// writeOK stages status + payload and flushes the response in one write.
-func writeOK(bw *bufio.Writer, payload []byte) bool {
-	bw.WriteByte(statusOK)
-	if len(payload) > 0 {
-		bw.Write(payload)
-	}
-	return bw.Flush() == nil
-}
-
-// writeErr stages an error frame and flushes it in one write.
-func writeErr(bw *bufio.Writer, err error) bool {
-	msg := truncateErrMsg(err.Error(), maxErrMsg)
-	bw.WriteByte(statusErr)
-	var lenBuf [2]byte
-	binary.BigEndian.PutUint16(lenBuf[:], uint16(len(msg)))
-	bw.Write(lenBuf[:])
-	bw.WriteString(msg)
-	return bw.Flush() == nil
 }
 
 // truncateErrMsg caps msg at max bytes without splitting a UTF-8 rune:
@@ -705,7 +497,7 @@ func (c *Client) Close() error {
 
 // fail marks the connection broken and closes it (the wire position is
 // unknown, so it can never be safely reused). With MaxReconnects set, the
-// surrounding exchange redials a fresh connection and retries.
+// surrounding do1 or do redials a fresh connection and retries.
 func (c *Client) fail(err error) error {
 	if c.broken == nil {
 		c.broken = err
@@ -760,88 +552,73 @@ func (c *Client) reconnectLocked() error {
 	return fmt.Errorf("appliance: reconnect attempts exhausted: %w", c.broken)
 }
 
-// exchange runs one complete protocol exchange (round trip plus any
-// payload reads) under the client lock, with the per-roundtrip deadline
-// armed and — when the connection breaks mid-op and MaxReconnects allows —
-// a redial-and-retry envelope around it.
-func (c *Client) exchange(op func() error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		if c.closed {
-			return net.ErrClosed
-		}
-		if c.broken != nil {
-			if c.opts.MaxReconnects <= 0 {
-				return fmt.Errorf("%w: %w", ErrBrokenConn, c.broken)
-			}
-			if rerr := c.reconnectLocked(); rerr != nil {
-				return fmt.Errorf("%w: %w", ErrBrokenConn, rerr)
-			}
-		}
-		if c.opts.Timeout > 0 {
-			c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
-		}
-		err := op()
-		if c.broken == nil || attempt >= c.opts.MaxReconnects {
-			return err
-		}
-		// Transport failure with retry budget left: loop to redial and
-		// replay the op on the fresh connection.
-	}
-}
-
 // RemoteError is a server-side failure reported over the protocol.
 type RemoteError struct{ Msg string }
 
 // Error implements error.
 func (e *RemoteError) Error() string { return "appliance: remote: " + e.Msg }
 
-// roundTrip sends a frame (header and payload coalesced into one buffered
-// write) and reads the status byte; on server error it consumes and
-// returns the message. Transport errors break the client.
-func (c *Client) roundTrip(h header, writePayload []byte) error {
+// roundTrip sends a v1 frame (header and payload segments coalesced into
+// one buffered write) and reads the status byte; on a server error it
+// consumes the frame and returns what it reports. Transport errors break
+// the client.
+func (c *Client) roundTrip(h headerV2, segs [][]byte) error {
 	if c.broken != nil {
 		return fmt.Errorf("%w: %w", ErrBrokenConn, c.broken)
 	}
-	h.encode(c.hdr[:])
-	if _, err := c.bw.Write(c.hdr[:]); err != nil {
-		return c.fail(err)
-	}
-	if len(writePayload) > 0 {
-		if _, err := c.bw.Write(writePayload); err != nil {
-			return c.fail(err)
+	v1 := header{op: h.op, server: h.server, volume: h.volume, offset: h.offset, length: h.length}
+	v1.encode(c.hdr[:])
+	_, err := c.bw.Write(c.hdr[:])
+	for _, seg := range segs {
+		if err == nil {
+			_, err = c.bw.Write(seg)
 		}
 	}
-	if err := c.bw.Flush(); err != nil {
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	if err != nil {
 		return c.fail(err)
 	}
-	var status [1]byte
-	if _, err := io.ReadFull(c.br, status[:]); err != nil {
+	status, err := c.br.ReadByte()
+	if err != nil {
 		return c.fail(err)
 	}
-	switch status[0] {
+	switch status {
 	case statusOK:
 		return nil
 	case statusErr:
-	default:
-		return c.fail(fmt.Errorf("%w: bad status 0x%02x", ErrProtocol, status[0]))
+		remote, err := readErrFrame(c.br)
+		if err != nil {
+			return c.fail(err)
+		}
+		if remote == ErrServerBusy {
+			// The server turned this connection away at its MaxConns limit
+			// and is closing it: break proactively (a later redial may find
+			// a free slot) and surface the sentinel.
+			return c.fail(ErrServerBusy)
+		}
+		return remote
 	}
+	return c.fail(fmt.Errorf("%w: bad status 0x%02x", ErrProtocol, status))
+}
+
+// readErrFrame reads an error frame's body (u16 length, message) and
+// returns the error it reports: ErrServerBusy for the busy frame, a
+// *RemoteError otherwise. err is a failed read.
+func readErrFrame(br *bufio.Reader) (remote, err error) {
 	var lenBuf [2]byte
-	if _, err := io.ReadFull(c.br, lenBuf[:]); err != nil {
-		return c.fail(err)
+	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+		return nil, err
 	}
 	msg := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
-	if _, err := io.ReadFull(c.br, msg); err != nil {
-		return c.fail(err)
+	if _, err := io.ReadFull(br, msg); err != nil {
+		return nil, err
 	}
 	if string(msg) == ErrServerBusy.Error() {
-		// The server turned this connection away at its MaxConns limit and
-		// is closing it: break proactively (a later redial may find a free
-		// slot) and surface the sentinel rather than an opaque RemoteError.
-		return c.fail(ErrServerBusy)
+		return ErrServerBusy, nil
 	}
-	return &RemoteError{Msg: string(msg)}
+	return &RemoteError{Msg: string(msg)}, nil
 }
 
 // ErrIDRange reports a server or volume id that does not fit the wire
@@ -867,24 +644,8 @@ func (c *Client) ReadAt(server, volume int, p []byte, off uint64) error {
 	if err := checkIDs(server, volume); err != nil {
 		return err
 	}
-	proto, err := c.protoFor()
-	if err != nil {
-		return err
-	}
-	if proto == ProtocolV2 {
-		return c.do2(headerV2{op: OpRead, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))},
-			nil, &pendingOp{op: OpRead, read: p})
-	}
-	h := header{op: OpRead, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))}
-	return c.exchange(func() error {
-		if err := c.roundTrip(h, nil); err != nil {
-			return err
-		}
-		if _, err := io.ReadFull(c.br, p); err != nil {
-			return c.fail(err)
-		}
-		return nil
-	})
+	return c.do(headerV2{op: OpRead, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))},
+		nil, &pendingOp{op: OpRead, read: p})
 }
 
 // WriteAt writes p to the remote volume at off.
@@ -895,33 +656,14 @@ func (c *Client) WriteAt(server, volume int, p []byte, off uint64) error {
 	if err := checkIDs(server, volume); err != nil {
 		return err
 	}
-	proto, err := c.protoFor()
-	if err != nil {
-		return err
-	}
-	if proto == ProtocolV2 {
-		return c.do2(headerV2{op: OpWrite, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))},
-			[][]byte{p}, &pendingOp{op: OpWrite})
-	}
-	h := header{op: OpWrite, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))}
-	return c.exchange(func() error {
-		return c.roundTrip(h, p)
-	})
+	return c.do(headerV2{op: OpWrite, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))},
+		[][]byte{p}, &pendingOp{op: OpWrite})
 }
 
 // RotateEpoch forces a SieveStore-D epoch rotation on the appliance
 // (no-op for a VariantC appliance).
 func (c *Client) RotateEpoch() error {
-	proto, err := c.protoFor()
-	if err != nil {
-		return err
-	}
-	if proto == ProtocolV2 {
-		return c.do2(headerV2{op: OpRotate}, nil, &pendingOp{op: OpRotate})
-	}
-	return c.exchange(func() error {
-		return c.roundTrip(header{op: OpRotate}, nil)
-	})
+	return c.do(headerV2{op: OpRotate}, nil, &pendingOp{op: OpRotate})
 }
 
 // Flush asks the appliance to write its dirty write-back blocks to the
@@ -930,16 +672,7 @@ func (c *Client) RotateEpoch() error {
 // write-back pass. Requires a server that understands OpFlush (this
 // repo's v1 servers do; the op predates nothing else).
 func (c *Client) Flush() error {
-	proto, err := c.protoFor()
-	if err != nil {
-		return err
-	}
-	if proto == ProtocolV2 {
-		return c.do2(headerV2{op: OpFlush}, nil, &pendingOp{op: OpFlush})
-	}
-	return c.exchange(func() error {
-		return c.roundTrip(header{op: OpFlush}, nil)
-	})
+	return c.do(headerV2{op: OpFlush}, nil, &pendingOp{op: OpFlush})
 }
 
 // Invalidate drops the appliance's cached blocks in [off, off+length),
@@ -955,65 +688,17 @@ func (c *Client) Invalidate(server, volume int, off uint64, length int) (int, er
 	if length <= 0 || length > MaxIOBytes {
 		return 0, fmt.Errorf("%w: invalidate of %d bytes out of range", ErrProtocol, length)
 	}
-	proto, err := c.protoFor()
-	if err != nil {
-		return 0, err
-	}
-	if proto == ProtocolV2 {
-		p := &pendingOp{op: OpInvalidate}
-		err := c.do2(headerV2{op: OpInvalidate, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(length)}, nil, p)
-		return int(p.inval), err
-	}
-	h := header{op: OpInvalidate, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(length)}
-	var dropped int
-	err = c.exchange(func() error {
-		if err := c.roundTrip(h, nil); err != nil {
-			return err
-		}
-		var resp [4]byte
-		if _, err := io.ReadFull(c.br, resp[:]); err != nil {
-			return c.fail(err)
-		}
-		dropped = int(binary.BigEndian.Uint32(resp[:]))
-		return nil
-	})
-	return dropped, err
+	p := &pendingOp{op: OpInvalidate}
+	err := c.do(headerV2{op: OpInvalidate, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(length)}, nil, p)
+	return int(p.inval), err
 }
 
 // Stats fetches the appliance's cache statistics.
 func (c *Client) Stats() (core.Stats, error) {
 	var st core.Stats
-	proto, err := c.protoFor()
-	if err != nil {
+	p := &pendingOp{op: OpStats}
+	if err := c.do(headerV2{op: OpStats}, nil, p); err != nil {
 		return st, err
 	}
-	if proto == ProtocolV2 {
-		p := &pendingOp{op: OpStats}
-		if err := c.do2(headerV2{op: OpStats}, nil, p); err != nil {
-			return st, err
-		}
-		return st, json.Unmarshal(p.stats, &st)
-	}
-	err = c.exchange(func() error {
-		if err := c.roundTrip(header{op: OpStats}, nil); err != nil {
-			return err
-		}
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(c.br, lenBuf[:]); err != nil {
-			return c.fail(err)
-		}
-		// The length prefix is untrusted input: a corrupt peer must not be
-		// able to force a ~4 GiB allocation. Past the bound the stream
-		// cannot be resynchronized, so the connection breaks.
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n > maxStatsBytes {
-			return c.fail(fmt.Errorf("%w: %d-byte stats payload exceeds limit", ErrProtocol, n))
-		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(c.br, data); err != nil {
-			return c.fail(err)
-		}
-		return json.Unmarshal(data, &st)
-	})
-	return st, err
+	return st, json.Unmarshal(p.stats, &st)
 }

@@ -1,6 +1,8 @@
-// Client-side protocol v2: lazy version negotiation, the tagged request
-// pipeline (per-tag completion map + one reader goroutine per
-// connection), and the ReadBatch/WriteBatch scatter/gather API.
+// The client's op path: lazy version negotiation, the one helper every
+// op goes through (do: a locked round trip on v1, the tagged request
+// pipeline on v2 — per-tag completion map + one reader goroutine per
+// connection), the shared body reader, and the ReadBatch/WriteBatch
+// scatter/gather API.
 package appliance
 
 import (
@@ -13,7 +15,8 @@ import (
 	"time"
 )
 
-// pendingOp is one in-flight v2 request's completion slot. The sender
+// pendingOp is one request's result slot; readBody fills it in both
+// framings. On v2 it is also the in-flight completion slot: the sender
 // registers it under the tag, the reader goroutine fills the result and
 // closes done. transport marks failures that broke the connection (the
 // retry envelope replays those); server error frames are not transport
@@ -60,7 +63,7 @@ func (c *Client) protoFor() (int, error) {
 // pins v1; transport errors break the client like any v1 op's would.
 func (c *Client) negotiateLocked() error {
 	if c.broken != nil {
-		// Same envelope as exchange(): a broken connection (a busy reject,
+		// Same envelope as do1: a broken connection (a busy reject,
 		// or a transport failure before the first op) redials when the
 		// retry budget allows, then negotiates on the fresh connection.
 		if c.opts.MaxReconnects <= 0 {
@@ -107,46 +110,22 @@ func (c *Client) helloExchangeLocked() (int, error) {
 	if c.opts.Timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
 	}
-	h := header{op: OpHello, offset: ProtocolV2}
-	h.encode(c.hdr[:])
-	if _, err := c.bw.Write(c.hdr[:]); err != nil {
-		return 0, c.fail(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return 0, c.fail(err)
-	}
-	var status [1]byte
-	if _, err := io.ReadFull(c.br, status[:]); err != nil {
-		return 0, c.fail(err)
-	}
-	switch status[0] {
-	case statusOK:
-		var ver [1]byte
-		if _, err := io.ReadFull(c.br, ver[:]); err != nil {
-			return 0, c.fail(err)
-		}
-		return int(ver[0]), nil
-	case statusErr:
-		var lenBuf [2]byte
-		if _, err := io.ReadFull(c.br, lenBuf[:]); err != nil {
-			return 0, c.fail(err)
-		}
-		msg := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
-		if _, err := io.ReadFull(c.br, msg); err != nil {
-			return 0, c.fail(err)
-		}
-		if string(msg) == ErrServerBusy.Error() {
-			return 0, c.fail(ErrServerBusy)
-		}
+	err := c.roundTrip(headerV2{op: OpHello, offset: ProtocolV2}, nil)
+	var remote *RemoteError
+	if errors.As(err, &remote) {
 		// The peer is about to close this connection (v1 servers treat
 		// HELLO as an unknown op and hang up): mark it unusable so the
-		// auto-mode redial below is the only way forward.
-		c.broken = &RemoteError{Msg: string(msg)}
-		c.conn.Close()
-		return 0, c.broken
-	default:
-		return 0, c.fail(fmt.Errorf("%w: bad status 0x%02x", ErrProtocol, status[0]))
+		// auto-mode redial is the only way forward.
+		return 0, c.fail(remote)
 	}
+	if err != nil {
+		return 0, err
+	}
+	ver, err := c.br.ReadByte()
+	if err != nil {
+		return 0, c.fail(err)
+	}
+	return int(ver), nil
 }
 
 // helloV2Locked renegotiates v2 on a freshly redialed connection
@@ -256,19 +235,9 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
 		var rerr error
 		switch status {
 		case statusOK:
-			rerr = c.readBody(br, p)
+			rerr = readBody(br, p)
 		case statusErr:
-			var lenBuf [2]byte
-			if _, rerr = io.ReadFull(br, lenBuf[:]); rerr == nil {
-				msg := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
-				if _, rerr = io.ReadFull(br, msg); rerr == nil {
-					if string(msg) == ErrServerBusy.Error() {
-						p.err = ErrServerBusy
-					} else {
-						p.err = &RemoteError{Msg: string(msg)}
-					}
-				}
-			}
+			p.err, rerr = readErrFrame(br)
 		default:
 			rerr = fmt.Errorf("%w: bad status 0x%02x", ErrProtocol, status)
 		}
@@ -299,8 +268,9 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
 	}
 }
 
-// readBody reads a statusOK response body into the pending op.
-func (c *Client) readBody(br *bufio.Reader, p *pendingOp) error {
+// readBody reads a statusOK response body into the pending op; the body
+// shapes are the same in both framings.
+func readBody(br *bufio.Reader, p *pendingOp) error {
 	switch p.op {
 	case OpRead:
 		_, err := io.ReadFull(br, p.read)
@@ -395,10 +365,19 @@ func (c *Client) send2(h headerV2, segs [][]byte, p *pendingOp) error {
 	return nil
 }
 
-// do2 runs one pipelined v2 op to completion, with the same
-// redial-and-replay envelope exchange() gives v1 ops: transport failures
-// are retried up to MaxReconnects times, server error frames are not.
-func (c *Client) do2(h headerV2, segs [][]byte, p *pendingOp) error {
+// do runs one op on the negotiated protocol and reads its OK body into
+// p. On v1 that is one locked round trip (do1). On v2 the op is
+// pipelined, with the same redial-and-replay envelope do1 gives v1:
+// transport failures are retried up to MaxReconnects times, server error
+// frames are not.
+func (c *Client) do(h headerV2, segs [][]byte, p *pendingOp) error {
+	proto, err := c.protoFor()
+	if err != nil {
+		return err
+	}
+	if proto != ProtocolV2 {
+		return c.do1(h, segs, p)
+	}
 	for attempt := 0; ; attempt++ {
 		p.reset()
 		if err := c.send2(h, segs, p); err != nil {
@@ -410,6 +389,42 @@ func (c *Client) do2(h headerV2, segs [][]byte, p *pendingOp) error {
 		}
 		// Transport failure with retry budget left: the next send2 finds
 		// the connection broken, redials (re-HELLOing v2), and replays.
+	}
+}
+
+// do1 runs one op as a v1 round trip under the client lock and reads its
+// OK body into p, with the per-roundtrip deadline armed and — when the
+// connection breaks mid-op and MaxReconnects allows — a redial-and-retry
+// envelope around it.
+func (c *Client) do1(h headerV2, segs [][]byte, p *pendingOp) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for attempt := 0; ; attempt++ {
+		if c.closed {
+			return net.ErrClosed
+		}
+		if c.broken != nil {
+			if c.opts.MaxReconnects <= 0 {
+				return fmt.Errorf("%w: %w", ErrBrokenConn, c.broken)
+			}
+			if rerr := c.reconnectLocked(); rerr != nil {
+				return fmt.Errorf("%w: %w", ErrBrokenConn, rerr)
+			}
+		}
+		if c.opts.Timeout > 0 {
+			c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
+		}
+		err := c.roundTrip(h, segs)
+		if err == nil {
+			if err = readBody(c.br, p); err != nil {
+				err = c.fail(err)
+			}
+		}
+		if c.broken == nil || attempt >= c.opts.MaxReconnects {
+			return err
+		}
+		// Transport failure with retry budget left: loop to redial and
+		// replay the op on the fresh connection.
 	}
 }
 
@@ -447,21 +462,10 @@ func (c *Client) ReadBatch(exts []Extent) error {
 	if err := validateBatch(exts); err != nil {
 		return err
 	}
-	proto, err := c.protoFor()
-	if err != nil {
-		return err
-	}
-	if proto != ProtocolV2 {
-		for _, e := range exts {
-			if err := c.ReadAt(e.Server, e.Volume, e.Data, e.Off); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	table := appendExtentTable(nil, exts)
-	return c.do2(headerV2{op: OpReadV, length: uint32(len(table))},
-		[][]byte{table}, &pendingOp{op: OpReadV, vec: exts})
+	return c.batch(exts, headerV2{op: OpReadV, length: uint32(len(table))},
+		[][]byte{table}, &pendingOp{op: OpReadV, vec: exts},
+		func(e Extent) error { return c.ReadAt(e.Server, e.Volume, e.Data, e.Off) })
 }
 
 // WriteBatch writes every extent's Data in one scatter/gather round trip
@@ -472,18 +476,6 @@ func (c *Client) WriteBatch(exts []Extent) error {
 	if err := validateBatch(exts); err != nil {
 		return err
 	}
-	proto, err := c.protoFor()
-	if err != nil {
-		return err
-	}
-	if proto != ProtocolV2 {
-		for _, e := range exts {
-			if err := c.WriteAt(e.Server, e.Volume, e.Data, e.Off); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	table := appendExtentTable(nil, exts)
 	segs := make([][]byte, 0, len(exts)+1)
 	segs = append(segs, table)
@@ -492,6 +484,25 @@ func (c *Client) WriteBatch(exts []Extent) error {
 		segs = append(segs, e.Data)
 		total += len(e.Data)
 	}
-	return c.do2(headerV2{op: OpWriteV, length: uint32(len(table) + total)},
-		segs, &pendingOp{op: OpWriteV})
+	return c.batch(exts, headerV2{op: OpWriteV, length: uint32(len(table) + total)},
+		segs, &pendingOp{op: OpWriteV},
+		func(e Extent) error { return c.WriteAt(e.Server, e.Volume, e.Data, e.Off) })
+}
+
+// batch runs a vector frame on v2. v1 has no vector ops, so there each
+// extent goes through scalar instead.
+func (c *Client) batch(exts []Extent, h headerV2, segs [][]byte, p *pendingOp, scalar func(Extent) error) error {
+	proto, err := c.protoFor()
+	if err != nil {
+		return err
+	}
+	if proto == ProtocolV2 {
+		return c.do(h, segs, p)
+	}
+	for _, e := range exts {
+		if err := scalar(e); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -322,9 +322,9 @@ func TestVectorErrorKeepsConnection(t *testing.T) {
 	}
 	// Hand-craft an OpReadV whose extent table is structurally valid but
 	// addresses an out-of-range volume: client-side validation would
-	// reject it, so go through do2 directly.
+	// reject it, so go through do directly.
 	table := appendExtentTable(nil, []Extent{{Server: 0, Volume: 1 << 12, Off: 0, Data: make([]byte, 512)}})
-	err = c.do2(headerV2{op: OpReadV, length: uint32(len(table))},
+	err = c.do(headerV2{op: OpReadV, length: uint32(len(table))},
 		[][]byte{table}, &pendingOp{op: OpReadV, vec: []Extent{{Data: make([]byte, 512)}}})
 	var remote *RemoteError
 	if !errors.As(err, &remote) {

@@ -68,17 +68,11 @@ const (
 	// may have in flight server-side before the reader stops pulling new
 	// frames (ServerOptions.MaxPipeline = 0).
 	defaultMaxPipeline = 32
-
-	// payloadKeep is the largest request-payload buffer a v1 connection
-	// keeps resident between requests; anything larger is borrowed from
-	// the shared payloadPool per request and released right after the
-	// response — so one 16 MiB request no longer pins 16 MiB per
-	// connection for its lifetime.
-	payloadKeep = 64 << 10
 )
 
 // headerV2 is the fixed-size request prefix of a v2 frame: the v1 header
-// with a u32 tag after the op byte.
+// with a u32 tag after the op byte. Both framings decode into it (a v1
+// request has tag 0), so the server and client op paths are shared.
 type headerV2 struct {
 	op     byte
 	tag    uint32
@@ -194,8 +188,8 @@ func decodeExtentTable(p []byte) (tab []wireExtent, rest []byte, total int, err 
 	return tab, p[need:], total, nil
 }
 
-// payloadPool recycles large request/response payload buffers across
-// connections and pipelined request handlers.
+// payloadPool recycles request payloads and read scratch buffers across
+// connections and requests.
 var payloadPool sync.Pool
 
 // poolGet returns a length-n buffer backed by the payload pool.
@@ -216,25 +210,4 @@ func poolPut(b []byte) {
 	}
 	b = b[:0]
 	payloadPool.Put(&b)
-}
-
-// connPayload manages a v1 connection's request-payload buffer: a small
-// buffer stays resident across requests (the common case) while
-// oversized ones go through the shared pool per request.
-type connPayload struct{ small []byte }
-
-func (cp *connPayload) get(n int) []byte {
-	if n <= payloadKeep {
-		if cap(cp.small) < n {
-			cp.small = make([]byte, payloadKeep)
-		}
-		return cp.small[:n]
-	}
-	return poolGet(n)
-}
-
-func (cp *connPayload) put(b []byte) {
-	if cap(b) > payloadKeep {
-		poolPut(b)
-	}
 }

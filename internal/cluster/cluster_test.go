@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -13,6 +14,8 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/core"
+	"repro/internal/sieve"
 )
 
 func fillByte(p []byte, b byte) {
@@ -408,5 +411,54 @@ func TestClusterJoinLeaveUnderLoad(t *testing.T) {
 		if got := uint32(buf[0]) | uint32(buf[1])<<8; got < v {
 			t.Fatalf("block %d: version %d < floor %d after join/leave", n, got, v)
 		}
+	}
+}
+
+// TestHierarchicalCachingOverRing: a Client with R=1 satisfies
+// core.Backend, so a local SieveStore can cache over a ring of remote
+// SieveStore appliances — a two-level hierarchy (per-rack cache in front
+// of the shared appliance tier).
+func TestHierarchicalCachingOverRing(t *testing.T) {
+	be, _, cl := newTestRing(t, 2, Config{Replicas: 1})
+	local, err := core.Open(cl, core.Options{
+		CacheBytes: 64 * block.Size,
+		SieveC:     sieve.CConfig{IMCTSize: 1 << 10, T1: 1, T2: 1, Window: time.Hour, Subwindows: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+
+	// Seed data through the hierarchy and read it back repeatedly.
+	data := make([]byte, 8*block.Size)
+	fillByte(data, 0x3C)
+	if err := local.WriteAt(0, 0, data, blockAt(16)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(data))
+	for i := 0; i < 4; i++ {
+		if err := local.ReadAt(0, 0, buf, blockAt(16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(buf, data) {
+		t.Fatal("hierarchy corrupted data")
+	}
+	// The local tier absorbed the repeats: the ring saw only the first
+	// round of traffic.
+	localStats := local.Stats()
+	if localStats.ReadHits == 0 {
+		t.Error("local tier never hit")
+	}
+	if remote := cl.Stats(); remote.Reads >= localStats.Reads {
+		t.Errorf("ring saw %d reads, local issued %d — hierarchy not absorbing",
+			remote.Reads, localStats.Reads)
+	}
+	// The origin backend holds the written data (both tiers write through).
+	if err := be.ReadAt(0, 0, buf, blockAt(16)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, data) {
+		t.Error("origin missing data")
 	}
 }

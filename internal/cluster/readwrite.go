@@ -28,6 +28,28 @@ type nodePlan struct {
 	idxs []int
 }
 
+// fanOut runs send once per plan, concurrently, and waits for all of
+// them. The last plan runs on the calling goroutine, so a one-node op —
+// every read of a healthy ring — starts no goroutine.
+func fanOut(plans map[int]*nodePlan, send func(p *nodePlan)) {
+	var wg sync.WaitGroup
+	var last *nodePlan
+	for _, p := range plans {
+		if last != nil {
+			wg.Add(1)
+			go func(p *nodePlan) {
+				defer wg.Done()
+				send(p)
+			}(last)
+		}
+		last = p
+	}
+	if last != nil {
+		send(last)
+	}
+	wg.Wait()
+}
+
 // planFor lazily creates the plan entry for a node.
 func planFor(plans map[int]*nodePlan, n *node) *nodePlan {
 	p := plans[n.id]
@@ -161,31 +183,24 @@ func (c *Client) writeRefs(refs []blockRef) error {
 
 	acks := make([]int, len(refs))
 	var mu sync.Mutex // serializes ack/hint/dirty bookkeeping across node goroutines
-	var wg sync.WaitGroup
-	for _, p := range plans {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := sendExtents(p.n, buildExtents(refs, p.idxs), true)
-			c.recordResult(p.n, err)
-			mu.Lock()
-			defer mu.Unlock()
-			if err == nil {
-				for _, i := range p.idxs {
-					acks[i]++
-					c.markAcked(refs[i].key, p.n.id, true)
-					// Any pending hint predates this write: superseded.
-					p.n.dropHint(refs[i].key)
-				}
-				return
-			}
+	fanOut(plans, func(p *nodePlan) {
+		err := sendExtents(p.n, buildExtents(refs, p.idxs), true)
+		c.recordResult(p.n, err)
+		mu.Lock()
+		defer mu.Unlock()
+		if err == nil {
 			for _, i := range p.idxs {
-				c.hintBlockLocked(p.n, refs[i])
+				acks[i]++
+				c.markAcked(refs[i].key, p.n.id, true)
+				// Any pending hint predates this write: superseded.
+				p.n.dropHint(refs[i].key)
 			}
-		}()
-	}
-	wg.Wait()
+			return
+		}
+		for _, i := range p.idxs {
+			c.hintBlockLocked(p.n, refs[i])
+		}
+	})
 	c.writeBlocks.Add(int64(len(refs)))
 
 	need := c.effectiveQuorum(topo)
@@ -264,22 +279,15 @@ func (c *Client) readRefs(refs []blockRef) error {
 
 		var mu sync.Mutex
 		var failed []int
-		var wg sync.WaitGroup
-		for _, p := range plans {
-			p := p
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				err := sendExtents(p.n, buildExtents(refs, p.idxs), false)
-				c.recordResult(p.n, err)
-				if err != nil {
-					mu.Lock()
-					failed = append(failed, p.idxs...)
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
+		fanOut(plans, func(p *nodePlan) {
+			err := sendExtents(p.n, buildExtents(refs, p.idxs), false)
+			c.recordResult(p.n, err)
+			if err != nil {
+				mu.Lock()
+				failed = append(failed, p.idxs...)
+				mu.Unlock()
+			}
+		})
 		if len(failed) > 0 {
 			c.fallthroughs.Add(int64(len(failed)))
 			sortInts(failed)

@@ -106,9 +106,9 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Snapshot merges the stripes into an exported point-in-time view. Like
-// OpLatency.Snapshot, each field is read atomically but the set is not
-// fenced against concurrent Observe calls (which only grow the counters).
+// Snapshot merges the stripes into an exported point-in-time view. Each
+// field is read atomically but the set is not fenced against concurrent
+// Observe calls (which only grow the counters).
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	s.Counts = make([]int64, HistogramBuckets)
@@ -129,7 +129,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // HistogramSnapshot is an exported, JSON-friendly view of a Histogram,
-// mergeable across instances (shards, striped appliance nodes) with Add.
+// mergeable across instances (shards, cluster nodes) with Add.
 type HistogramSnapshot struct {
 	Counts []int64 // per-bucket observation counts (len HistogramBuckets)
 	Count  int64   // total observations
