@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-chaos test-cluster test-tenant cover bench bench-smoke bench-hot perfbench experiments fuzz test-fuzz fmt vet lint clean
+.PHONY: all build test race test-chaos test-cluster test-tenant cover bench bench-smoke bench-hot perfbench experiments experiments-quick fuzz test-fuzz fmt vet lint clean
 
 # Tier-1 flow: compile, static checks, unit tests, the race detector over
 # every package (the concurrent store/appliance paths must stay
@@ -54,18 +54,20 @@ lint:
 
 # Coverage floors for the observability-critical packages: the metrics
 # primitives feed operator-facing numbers, the appliance parses
-# untrusted network input, and the cache package is the pluggable
-# eviction-policy seam every variant sits on — all must stay thoroughly
-# tested. Other packages report coverage without a floor.
+# untrusted network input, the cache package is the pluggable
+# eviction-policy seam every variant sits on, and core is the op path
+# itself — all must stay thoroughly tested. Other packages report
+# coverage without a floor.
 COVER_FLOOR_metrics    := 90
 COVER_FLOOR_appliance  := 80
 COVER_FLOOR_cache      := 90
 COVER_FLOOR_tier       := 85
 COVER_FLOOR_tenant     := 85
+COVER_FLOOR_core       := 85
 
 cover:
 	@out=$$($(GO) test -cover ./internal/...); echo "$$out"; fail=0; \
-	for spec in metrics:$(COVER_FLOOR_metrics) appliance:$(COVER_FLOOR_appliance) cache:$(COVER_FLOOR_cache) tier:$(COVER_FLOOR_tier) tenant:$(COVER_FLOOR_tenant); do \
+	for spec in metrics:$(COVER_FLOOR_metrics) appliance:$(COVER_FLOOR_appliance) cache:$(COVER_FLOOR_cache) tier:$(COVER_FLOOR_tier) tenant:$(COVER_FLOOR_tenant) core:$(COVER_FLOOR_core); do \
 	  pkg=$${spec%%:*}; floor=$${spec##*:}; \
 	  pct=$$(echo "$$out" | awk -v p="repro/internal/$$pkg" \
 	    '$$2==p { for (i=1; i<=NF; i++) if ($$i ~ /%$$/) { gsub(/%/, "", $$i); print $$i } }'); \
@@ -108,27 +110,25 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/experiments -scale 4096 -skip-sweeps
 
+# run-fuzz runs every fuzz target for $(1) of new inputs each.
+define run-fuzz
+	$(GO) test ./internal/trace/ -fuzz FuzzBinaryReader -fuzztime $(1) -run XXX
+	$(GO) test ./internal/trace/ -fuzz FuzzCSVReader -fuzztime $(1) -run XXX
+	$(GO) test ./internal/core/ -fuzz FuzzLoadSnapshot -fuzztime $(1) -run XXX
+	$(GO) test ./internal/appliance/ -fuzz 'FuzzFrameRoundTrip$$' -fuzztime $(1) -run XXX
+	$(GO) test ./internal/appliance/ -fuzz 'FuzzFrameRoundTripV2$$' -fuzztime $(1) -run XXX
+	$(GO) test ./internal/appliance/ -fuzz FuzzServerInput -fuzztime $(1) -run XXX
+	$(GO) test ./internal/appliance/ -fuzz FuzzClientResponse -fuzztime $(1) -run XXX
+	$(GO) test ./internal/tenant/ -fuzz FuzzTenantAccounting -fuzztime $(1) -run XXX
+endef
+
 fuzz:
-	$(GO) test ./internal/trace/ -fuzz FuzzBinaryReader -fuzztime 30s -run XXX
-	$(GO) test ./internal/trace/ -fuzz FuzzCSVReader -fuzztime 30s -run XXX
-	$(GO) test ./internal/core/ -fuzz FuzzLoadSnapshot -fuzztime 30s -run XXX
-	$(GO) test ./internal/appliance/ -fuzz 'FuzzFrameRoundTrip$$' -fuzztime 30s -run XXX
-	$(GO) test ./internal/appliance/ -fuzz 'FuzzFrameRoundTripV2$$' -fuzztime 30s -run XXX
-	$(GO) test ./internal/appliance/ -fuzz FuzzServerInput -fuzztime 30s -run XXX
-	$(GO) test ./internal/appliance/ -fuzz FuzzClientResponse -fuzztime 30s -run XXX
-	$(GO) test ./internal/tenant/ -fuzz FuzzTenantAccounting -fuzztime 30s -run XXX
+	$(call run-fuzz,30s)
 
 # Quick smoke over every fuzz target (seed corpora + 5s of new inputs
 # each) — cheap enough for pre-commit; `make fuzz` is the long soak.
 test-fuzz:
-	$(GO) test ./internal/trace/ -fuzz FuzzBinaryReader -fuzztime 5s -run XXX
-	$(GO) test ./internal/trace/ -fuzz FuzzCSVReader -fuzztime 5s -run XXX
-	$(GO) test ./internal/core/ -fuzz FuzzLoadSnapshot -fuzztime 5s -run XXX
-	$(GO) test ./internal/appliance/ -fuzz 'FuzzFrameRoundTrip$$' -fuzztime 5s -run XXX
-	$(GO) test ./internal/appliance/ -fuzz 'FuzzFrameRoundTripV2$$' -fuzztime 5s -run XXX
-	$(GO) test ./internal/appliance/ -fuzz FuzzServerInput -fuzztime 5s -run XXX
-	$(GO) test ./internal/appliance/ -fuzz FuzzClientResponse -fuzztime 5s -run XXX
-	$(GO) test ./internal/tenant/ -fuzz FuzzTenantAccounting -fuzztime 5s -run XXX
+	$(call run-fuzz,5s)
 
 fmt:
 	gofmt -w .

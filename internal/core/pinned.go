@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/block"
 	"repro/internal/tier"
 )
@@ -70,8 +68,8 @@ func (pr *PinnedRead) appendTier(view []byte, p tier.Pin) {
 
 // ReadPinned serves the longest all-hit prefix of the request
 // [off, off+n) straight from the cache as pinned zero-copy frame views,
-// or nil when nothing is pinnable (bad geometry, degraded or closed
-// store, or a miss on the very first block) — the caller then falls back
+// or nil when nothing is pinnable (bad geometry or ids, degraded or
+// closed store, or a miss on the very first block) — the caller then falls back
 // to ReadAt for the whole request. RAM-tier-resident blocks are pinned
 // under the tier's read lock only; the rest pin SSD shard frames under
 // their shard mutex. On a partial prefix the caller writes the views
@@ -82,34 +80,17 @@ func (pr *PinnedRead) appendTier(view []byte, p tier.Pin) {
 // request (a partial prefix's tail ReadAt records the op), keeping
 // read-op counts at one per request.
 func (s *Store) ReadPinned(server, volume, n int, off uint64) *PinnedRead {
-	if n <= 0 || n%block.Size != 0 || off%block.Size != 0 {
+	if checkIO(server, volume, off, n) != nil {
 		return nil
 	}
-	if end := off + uint64(n); end < off || (end-1)/block.Size > block.MaxBlockNumber {
+	var o op
+	if err := s.begin(&o, opPin, server, volume, off, n); err != nil || o.bypass {
 		return nil
 	}
-	if server < 0 || server >= block.MaxServers || volume < 0 || volume >= block.MaxVolumes {
-		return nil
-	}
-	if s.closed.Load() || s.degraded.Load() {
-		// Degraded mode bypasses the cache (and meters recovery probes);
-		// the ReadAt fallback owns that logic.
-		return nil
-	}
-	var start time.Duration
-	if s.opts.TrackLatency {
-		start = time.Since(s.monoBase)
-	}
-	s.maybeRotate()
-	if s.closed.Load() {
-		return nil
-	}
-	nBlocks := n / block.Size
-	first := off / block.Size
 	pr := &PinnedRead{}
 	var locked *shard
-	for i := 0; i < nBlocks; i++ {
-		key := block.MakeKey(server, volume, first+uint64(i))
+	for i := 0; i < o.n; i++ {
+		key := o.key(i)
 		if s.tier != nil {
 			if view, p, ok := s.tier.Pin(key); ok {
 				// Tier hit accounting lives in the tier's atomics (folded
@@ -128,16 +109,10 @@ func (s *Store) ReadPinned(server, volume, n int, off uint64) *PinnedRead {
 			sh.mu.Lock()
 			locked = sh
 		}
-		if !sh.tags.Touch(key) {
+		f := sh.hitLocked(key, nil)
+		if f == nil {
 			break
 		}
-		f := sh.frames[key]
-		sh.pinLocked(f)
-		sh.stats.Reads++
-		sh.stats.ReadHits++
-		sh.stats.PinnedReads++
-		sh.stats.CacheBytesServed += block.Size
-		sh.promoteOnHitLocked(key)
 		pr.views = append(pr.views, f)
 		pr.shards = append(pr.shards, sh)
 		if pr.tierPins != nil {
@@ -147,18 +122,17 @@ func (s *Store) ReadPinned(server, volume, n int, off uint64) *PinnedRead {
 	if locked != nil {
 		locked.mu.Unlock()
 	}
-	if len(pr.views) == 0 {
+	pinned := len(pr.views)
+	if pinned == 0 {
 		return nil
 	}
-	// Log exactly the blocks served here; the caller's tail ReadAt logs
-	// (and counts) the rest itself. Tenant accounting follows the same
-	// split: every pinned block is an access and a hit for its tenant.
-	s.logAccess(server, volume, first, len(pr.views))
-	s.tenantTick()
-	s.tenantAccess(server, volume, int64(len(pr.views)), false)
-	s.tenantHits(server, volume, int64(len(pr.views)))
-	if s.opts.TrackLatency && len(pr.views) == nBlocks {
-		s.histRead.Observe(time.Since(s.monoBase) - start)
+	// Log and count exactly the blocks served here; the caller's tail
+	// ReadAt logs and counts the rest itself. Every pinned block is a hit
+	// for its tenant.
+	s.logAccess(&o, pinned)
+	s.tenantHits(server, volume, int64(pinned))
+	if pinned == o.n {
+		s.end(&o, nil)
 	}
 	return pr
 }

@@ -68,14 +68,11 @@ type flight struct {
 // called under the shard lock, before close(done). The buffer is
 // refcounted by the waiter count; the last waiter returns it to the pool.
 func (f *flight) publishLocked(src []byte) {
-	if f.waiters == 0 {
-		return
+	if f.waiters > 0 {
+		buf := frameGet()
+		copy(buf, src)
+		f.adoptLocked(buf)
 	}
-	buf := frameGet()
-	copy(buf, src)
-	f.data = buf
-	f.pooled = true
-	f.refs.Store(int32(f.waiters))
 }
 
 // adoptLocked is publishLocked for a buffer that is already a pool-origin
@@ -220,6 +217,119 @@ func (sh *shard) promoteOnHitLocked(key block.Key) {
 	}
 }
 
+// hitLocked is the shard-hit stage, under sh.mu: a resident key is
+// touched, its frame copied into dst — or, with dst nil, pinned for a
+// zero-copy reader — the hit counted, and the block offered to the RAM
+// tier's promotion sieve. It returns the frame, or nil on a miss.
+func (sh *shard) hitLocked(key block.Key, dst []byte) []byte {
+	if !sh.tags.Touch(key) {
+		return nil
+	}
+	f := sh.frames[key]
+	if dst != nil {
+		copy(dst, f)
+	} else {
+		sh.pinLocked(f)
+		sh.stats.PinnedReads++
+	}
+	sh.stats.Reads++
+	sh.stats.ReadHits++
+	sh.stats.CacheBytesServed += block.Size
+	sh.promoteOnHitLocked(key)
+	return f
+}
+
+// writeTally counts a write's cache hits and admissions.
+type writeTally struct{ hits, admitted int }
+
+// absorbLocked is the write-absorb stage for block i of o, under sh.mu:
+// the write supersedes any RAM-tier copy, then — unless the block's
+// reservation f went stale (invalidated mid-write) or the store closed
+// (Close may already have drained this shard) — a resident frame takes
+// data, marked dirty in write-back mode, or the sieve may admit it. It
+// reports whether the cache absorbed the block.
+func (sh *shard) absorbLocked(o *op, i int, data []byte, f *flight, t *writeTally) bool {
+	key := o.key(i)
+	// The tier can outlive SSD residency, so its copy goes whether the
+	// write lands in the cache or in the backend. Under this shard's lock,
+	// so no reader can re-promote the old frame in between.
+	sh.store.tierInvalidate(key)
+	if f.stale || sh.store.closed.Load() {
+		return false
+	}
+	if sh.tags.Touch(key) {
+		sh.writeFrameLocked(key, data)
+		if sh.store.opts.WriteBack {
+			sh.dirty[key] = true
+		}
+		sh.stats.WriteHits++
+		t.hits++
+		return true
+	}
+	if sh.tryAdmit(key, data, block.Write, o.now, sh.store.opts.WriteBack) {
+		t.admitted++
+		return true
+	}
+	return false
+}
+
+// dropLocked is the key-drop stage, under sh.mu. It drops key's RAM-tier
+// copy (the tier can outlive SSD residency); marks a flight in the air
+// stale and detaches it, so its owner skips installing pre-drop data and
+// later misses fetch fresh; records the key in rotSkip, so a staging epoch
+// commit cannot resurrect its older batch-fetched copy; and removes the
+// resident frame, writing a dirty one back first when flush is set. It
+// reports whether the block was resident.
+func (sh *shard) dropLocked(key block.Key, flush bool) (bool, error) {
+	sh.store.tierInvalidate(key)
+	if f, ok := sh.inflight[key]; ok {
+		f.stale = true
+		delete(sh.inflight, key)
+	}
+	if sh.rotSkip != nil {
+		sh.rotSkip[key] = true
+	}
+	if !sh.tags.Contains(key) {
+		return false, nil
+	}
+	if flush && sh.dirty[key] {
+		if err := sh.flushBlock(key); err != nil {
+			return false, err
+		}
+	}
+	delete(sh.dirty, key)
+	sh.tags.Remove(key)
+	sh.recycleLocked(sh.frames[key])
+	delete(sh.frames, key)
+	sh.tenantEvict(key)
+	return true, nil
+}
+
+// finishFetchLocked completes an owned miss fetch of key under sh.mu: on
+// success the block is offered to the sieve at now — unless the flight
+// went stale or the store closed meanwhile — and published to coalesced
+// waiters; on failure they get err. It reports whether the block was
+// admitted.
+func (sh *shard) finishFetchLocked(key block.Key, f *flight, data []byte, err error, now time.Time) (admitted bool) {
+	if err == nil {
+		admitted = !f.stale && !sh.store.closed.Load() && sh.tryAdmit(key, data, block.Read, now, false)
+		f.publishLocked(data)
+	} else {
+		f.err = err
+	}
+	sh.endFlightLocked(key, f)
+	return admitted
+}
+
+// endFlightLocked detaches f from the in-flight table, unless a drop or
+// bulk replacement already did, and wakes its waiters.
+func (sh *shard) endFlightLocked(key block.Key, f *flight) {
+	if sh.inflight[key] == f {
+		delete(sh.inflight, key)
+	}
+	close(f.done)
+}
+
 // tierInvalidate drops key's RAM-tier copy, if any. Callers must hold
 // key's store-shard mutex so the drop linearizes with the frame or
 // backend update it accompanies (see promoteOnHitLocked).
@@ -240,14 +350,9 @@ func (sh *shard) alloc() []byte {
 	return frameGet()
 }
 
-// maybeAdmit consults the sieve (VariantC) and installs the block on
-// approval, reporting whether it was admitted. VariantD never admits
-// continuously.
-func (sh *shard) maybeAdmit(key block.Key, data []byte, kind block.Kind, now time.Time, dirty bool) bool {
-	return sh.tryAdmit(key, data, kind, now, dirty)
-}
-
-// tryAdmit is maybeAdmit reporting whether the block was admitted.
+// tryAdmit consults the sieve (VariantC) at the op time now and installs
+// the block on approval — marked dirty if asked — reporting whether it was
+// admitted. VariantD never admits continuously.
 func (sh *shard) tryAdmit(key block.Key, data []byte, kind block.Kind, now time.Time, dirty bool) bool {
 	if sh.sieveC == nil {
 		return false
@@ -272,7 +377,7 @@ func (sh *shard) tryAdmit(key block.Key, data []byte, kind block.Kind, now time.
 		sh.dirty[key] = true
 	}
 	sh.stats.AllocWrites++
-	sh.tenantAllocWrite(key, 1)
+	sh.tenantAllocWrite(key, 1, now)
 	return true
 }
 
@@ -327,8 +432,7 @@ func (sh *shard) flushBlock(key block.Key) error {
 	if err := sh.store.backend.WriteAt(key.Server(), key.Volume(), frame, key.Offset()); err != nil {
 		return fmt.Errorf("core: write-back of %v: %w", key, err)
 	}
-	sh.stats.BackendWrites++
-	sh.stats.BackendBytesWritten += block.Size
+	sh.stats.chargeBackend(true, 1, block.Size)
 	sh.stats.FlushWrites++
 	delete(sh.dirty, key)
 	return nil
@@ -412,10 +516,7 @@ func (sh *shard) completeLocked(server, volume int, first uint64, idxs []int, fl
 				sh.rotSkip[key] = true
 			}
 		}
-		if sh.inflight[key] == f {
-			delete(sh.inflight, key)
-		}
-		close(f.done)
+		sh.endFlightLocked(key, f)
 	}
 }
 
@@ -477,7 +578,8 @@ func (sh *shard) flushStagedLocked(only func(block.Key) bool) error {
 	ran := make([]bool, len(runs))
 
 	sh.mu.Unlock()
-	err := forEachRun(runs, func(ri int, r keyRun) error {
+	err := forEach(len(runs), func(ri int) error {
+		r := runs[ri]
 		ran[ri] = true
 		n := r.hi - r.lo
 		buf := frames[r.lo]
@@ -501,8 +603,7 @@ func (sh *shard) flushStagedLocked(only func(block.Key) bool) error {
 			continue
 		}
 		if runErr[ri] == nil {
-			sh.stats.BackendWrites++
-			sh.stats.BackendBytesWritten += int64(r.hi-r.lo) * block.Size
+			sh.stats.chargeBackend(true, 1, int64(r.hi-r.lo)*block.Size)
 		}
 		for i := r.lo; i < r.hi; i++ {
 			if runErr[ri] == nil {
@@ -526,10 +627,7 @@ func (sh *shard) flushStagedLocked(only func(block.Key) bool) error {
 		if !f.adoptLocked(frames[i]) {
 			framePut(frames[i])
 		}
-		if sh.inflight[k] == f {
-			delete(sh.inflight, k)
-		}
-		close(f.done)
+		sh.endFlightLocked(k, f)
 	}
 	return err
 }
@@ -620,7 +718,7 @@ func (sh *shard) commitEpochLocked(selected []block.Key, fetched map[block.Key][
 			// Epoch batch installs are real SSD allocation-writes: move
 			// tenant occupancy and charge the endurance budget.
 			sh.tenantInstall(k)
-			sh.tenantAllocWrite(k, 1)
+			sh.tenantAllocWrite(k, 1, sh.store.now())
 		}
 	}
 	// This shard's transition is committed; writes no longer need to

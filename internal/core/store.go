@@ -432,8 +432,9 @@ var ErrClosed = errors.New("core: store is closed")
 // ErrAlignment rejects I/O that is not 512-byte aligned.
 var ErrAlignment = errors.New("core: offset and length must be multiples of 512")
 
-// ErrRange rejects I/O whose offset or extent exceeds the addressable
-// block range (block.MaxBlockNumber blocks per volume).
+// ErrRange rejects I/O that a block.Key cannot address: a server or volume
+// id outside [0, block.MaxServers) or [0, block.MaxVolumes), or an offset
+// or extent beyond block.MaxBlockNumber blocks per volume.
 var ErrRange = errors.New("core: request beyond addressable block range")
 
 // Store is a SieveStore cache instance. It is safe for concurrent use.
@@ -806,138 +807,13 @@ func (s *Store) exitDegraded() {
 	}
 }
 
-// probeDue claims the per-interval recovery probe slot tracked by last:
-// true means this caller is the probe and last was advanced.
-func (s *Store) probeDue(last *atomic.Int64) bool {
-	now := s.now().UnixNano()
+// probeDue claims the per-interval recovery probe slot tracked by last
+// for an op at time now: true means this caller is the probe and last was
+// advanced.
+func (s *Store) probeDue(last *atomic.Int64, now time.Time) bool {
+	ns := now.UnixNano()
 	l := last.Load()
-	return now-l >= int64(s.opts.DegradedProbeEvery) && last.CompareAndSwap(l, now)
-}
-
-// bypassRead serves a read while degraded: dirty write-back blocks (whose
-// only current copy is the cache frame) come from the cache, everything
-// else straight from the backend. No admission, no access logging, no
-// epoch rotation — the degraded store does the minimum that keeps clients
-// correct.
-func (s *Store) bypassRead(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error {
-	nBlocks := len(p) / block.Size
-	first := off / block.Size
-	var servedDirty int64
-	var served []bool
-	if s.opts.WriteBack {
-		for _, g := range s.groupByShard(server, volume, first, nBlocks) {
-			g.sh.mu.Lock()
-			for _, i := range g.idxs {
-				key := block.MakeKey(server, volume, first+uint64(i))
-				if g.sh.dirty[key] && g.sh.frames[key] != nil {
-					copy(p[i*block.Size:(i+1)*block.Size], g.sh.frames[key])
-					if served == nil {
-						served = make([]bool, nBlocks)
-					}
-					served[i] = true
-					servedDirty++
-				}
-			}
-			g.sh.mu.Unlock()
-		}
-	}
-	var err error
-	var nReads, nBytes int64
-	for i := 0; i < nBlocks && err == nil; {
-		if served != nil && served[i] {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < nBlocks && (served == nil || !served[j]) {
-			j++
-		}
-		buf := p[i*block.Size : j*block.Size]
-		if err = s.backend.ReadAt(server, volume, buf, off+uint64(i)*block.Size); err == nil {
-			nReads++
-			nBytes += int64(len(buf))
-		}
-		i = j
-	}
-	sh := s.shardOf(block.MakeKey(server, volume, first))
-	sh.mu.Lock()
-	sh.stats.Reads += int64(nBlocks)
-	sh.stats.ReadHits += servedDirty
-	sh.stats.CacheBytesServed += servedDirty * block.Size
-	sh.stats.BackendReads += nReads
-	sh.stats.BackendBytesRead += nBytes
-	sh.stats.BackendBytesServedRead += nBytes
-	sh.mu.Unlock()
-	s.tenantAccess(server, volume, int64(nBlocks), false)
-	s.tenantHits(server, volume, servedDirty)
-	s.bypassReads.Add(int64(nBlocks))
-	if tr != nil {
-		tr.Bypass = true
-		tr.Hits = int(servedDirty)
-		tr.Misses = nBlocks - int(servedDirty)
-	}
-	return err
-}
-
-// bypassWrite writes straight through to the backend while degraded, then
-// drops any cached copies of the written range — the cache is not being
-// maintained, so a stale resident frame (or an in-flight fetch of
-// pre-write data) must not survive to be served after recovery.
-func (s *Store) bypassWrite(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error {
-	nBlocks := len(p) / block.Size
-	first := off / block.Size
-	err := s.backend.WriteAt(server, volume, p, off)
-	sh := s.shardOf(block.MakeKey(server, volume, first))
-	sh.mu.Lock()
-	sh.stats.Writes += int64(nBlocks)
-	if err == nil {
-		sh.stats.BackendWrites++
-		sh.stats.BackendBytesWritten += int64(len(p))
-	}
-	sh.mu.Unlock()
-	s.tenantAccess(server, volume, int64(nBlocks), true)
-	if err != nil {
-		return err
-	}
-	s.bypassWrites.Add(int64(nBlocks))
-	if tr != nil {
-		tr.Bypass = true
-		tr.Misses = nBlocks
-	}
-	s.dropRange(server, volume, first, nBlocks)
-	return nil
-}
-
-// dropRange discards cached state for [first, first+n) after the backend
-// was modified directly (bypass writes): resident frames are freed
-// without write-back (the whole block was just overwritten, so a dirty
-// frame is superseded), in-flight operations are marked stale and
-// detached so a fetch racing the bypass write cannot install pre-write
-// data, and keys are recorded in rotSkip so a staging epoch commit cannot
-// resurrect its older batch-fetched copy.
-func (s *Store) dropRange(server, volume int, first uint64, n int) {
-	for _, g := range s.groupByShard(server, volume, first, n) {
-		g.sh.mu.Lock()
-		for _, i := range g.idxs {
-			key := block.MakeKey(server, volume, first+uint64(i))
-			s.tierInvalidate(key)
-			if f, ok := g.sh.inflight[key]; ok {
-				f.stale = true
-				delete(g.sh.inflight, key)
-			}
-			if g.sh.rotSkip != nil {
-				g.sh.rotSkip[key] = true
-			}
-			if g.sh.tags.Contains(key) {
-				delete(g.sh.dirty, key)
-				g.sh.tags.Remove(key)
-				g.sh.recycleLocked(g.sh.frames[key])
-				delete(g.sh.frames, key)
-				g.sh.tenantEvict(key)
-			}
-		}
-		g.sh.mu.Unlock()
-	}
+	return ns-l >= int64(s.opts.DegradedProbeEvery) && last.CompareAndSwap(l, ns)
 }
 
 // Close releases the store's resources. In write-back mode the dirty
@@ -962,14 +838,7 @@ func (s *Store) Close() error {
 	s.closed.Store(true)
 	s.rotMu.Unlock()
 
-	var err error
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if derr := sh.drainDirtyLocked(); err == nil {
-			err = derr
-		}
-		sh.mu.Unlock()
-	}
+	err := s.eachShard((*shard).drainDirtyLocked)
 	if s.logger != nil {
 		if lerr := s.logger.Close(); err == nil {
 			err = lerr
@@ -983,19 +852,160 @@ func (s *Store) Close() error {
 	return err
 }
 
-// checkIO validates request geometry. The block-range check matters for
-// requests arriving off the wire: block.MakeKey treats an out-of-range
-// component as a caller bug and panics, and a remote peer's stray offset
-// must surface as an error, not take the daemon down.
-func checkIO(p []byte, off uint64) error {
-	if off%block.Size != 0 || len(p)%block.Size != 0 || len(p) == 0 {
+// checkIO validates a request's ids and geometry: the one entry check of
+// ReadAt, WriteAt, ReadPinned and Invalidate. The id and block-range
+// checks matter for requests arriving off the wire or from a trace file:
+// block.MakeKey treats an out-of-range component as a caller bug and
+// panics, and a stray id or offset must surface as an error, not take the
+// daemon down.
+func checkIO(server, volume int, off uint64, n int) error {
+	if off%block.Size != 0 || n%block.Size != 0 || n <= 0 {
 		return ErrAlignment
 	}
-	end := off + uint64(len(p))
-	if end < off || (end-1)/block.Size > block.MaxBlockNumber {
+	end := off + uint64(n)
+	if end < off || (end-1)/block.Size > block.MaxBlockNumber ||
+		server < 0 || server >= block.MaxServers || volume < 0 || volume >= block.MaxVolumes {
 		return ErrRange
 	}
 	return nil
+}
+
+// opKind names the entry point an op context serves.
+type opKind uint8
+
+const (
+	opRead opKind = iota
+	opWrite
+	opPin // ReadPinned: never traced, never bypasses or probes
+)
+
+// opNames are the op names sampled traces record.
+var opNames = [...]string{opRead: "read", opWrite: "write"}
+
+// op is one ReadAt, WriteAt or ReadPinned call's context: begin builds
+// it, the stages below read it, end finishes it. It lives on the caller's
+// stack.
+type op struct {
+	kind           opKind
+	server, volume int
+	first          uint64 // first block number
+	n              int    // blocks
+	// now is the op's one read of the injected clock: epoch rotation,
+	// tenant repartition, the trace start, the recovery probe and sieve
+	// admission all use it.
+	now    time.Time
+	tr     *metrics.OpTrace // sampled trace, or nil
+	start  time.Duration    // monotonic start, when latency is tracked or traced
+	bypass bool             // degraded: serve straight from the backend
+	probe  bool             // degraded, but this op is the recovery probe
+	faults int64            // cache faults seen when the probe began
+}
+
+// key returns the key of the op's i-th block.
+func (o *op) key(i int) block.Key { return block.MakeKey(o.server, o.volume, o.first+uint64(i)) }
+
+// blockOf returns the i-th block of p.
+func blockOf(p []byte, i int) []byte { return p[i*block.Size : (i+1)*block.Size] }
+
+// markServed flags block i of an n-block request as needing no backend
+// I/O of its own, allocating the mask on first use. A single-block
+// request never gets one: its callers skip the backend outright once the
+// block is served.
+func markServed(served []bool, i, n int) []bool {
+	if n == 1 {
+		return nil
+	}
+	if served == nil {
+		served = make([]bool, n)
+	}
+	served[i] = true
+	return served
+}
+
+// begin opens the op o on a request that passed checkIO: the trace and
+// latency start, the closed check, the degraded bypass or recovery probe
+// and — for an op that takes the cached path — epoch rotation, the closed
+// re-check and tenant repartition. It reads the injected clock exactly
+// once, into o.now, and samples the trace (one atomic add when not
+// sampled). An error or o.bypass ends the op before its cached path.
+func (s *Store) begin(o *op, kind opKind, server, volume int, off uint64, n int) error {
+	// Field by field: assigning a composite literal through o would build
+	// it in a temporary and copy it on every op.
+	o.kind = kind
+	o.server, o.volume = server, volume
+	o.first, o.n = off/block.Size, n/block.Size
+	if kind != opPin && s.trace != nil && s.trace.Sample() {
+		o.tr = &metrics.OpTrace{
+			Op:     opNames[kind],
+			Server: server,
+			Volume: volume,
+			Offset: off,
+			Blocks: o.n,
+			Shard:  s.shardIndex(o.key(0)),
+		}
+	}
+	if s.opts.TrackLatency || o.tr != nil {
+		o.start = time.Since(s.monoBase)
+	}
+	o.now = s.now()
+	if o.tr != nil {
+		o.tr.StartNS = o.now.UnixNano()
+	}
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	if s.degraded.Load() {
+		if o.tr != nil {
+			o.tr.Degraded = true
+		}
+		// ReadPinned leaves the bypass and the probe to its ReadAt
+		// fallback.
+		if kind == opPin || !s.probeDue(&s.lastCacheProbe, o.now) {
+			o.bypass = true
+			return nil
+		}
+		// This caller is the recovery probe: it takes the normal cached
+		// path, and end leaves bypass mode if it completes without a fresh
+		// cache fault.
+		o.probe = true
+		o.faults = s.cacheFaults.Load()
+	}
+	s.maybeRotate(o.now)
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	s.tenantTick(o.now)
+	return nil
+}
+
+// end closes an op begun by begin: the recovery probe's exit from bypass
+// mode, the latency observation and the trace record. It returns err.
+func (s *Store) end(o *op, err error) error {
+	if o.probe && err == nil && s.cacheFaults.Load() == o.faults {
+		s.exitDegraded()
+	}
+	if !s.opts.TrackLatency && o.tr == nil {
+		return err
+	}
+	d := time.Since(s.monoBase) - o.start
+	if s.opts.TrackLatency {
+		hist, errs := &s.histRead, &s.errRead
+		if o.kind == opWrite {
+			hist, errs = &s.histWrite, &s.errWrite
+		}
+		hist.Observe(d)
+		if err != nil {
+			errs.Add(1)
+		}
+	}
+	if o.tr != nil {
+		o.tr.LatencyNS = d.Nanoseconds()
+		if err != nil {
+			o.tr.Err = err.Error()
+		}
+		s.trace.Record(*o.tr)
+	}
+	return err
 }
 
 // ReadAt reads len(p) bytes from the volume at off, serving cached blocks
@@ -1007,83 +1017,112 @@ func checkIO(p []byte, off uint64) error {
 // by another caller are joined rather than refetched), then read from the
 // ensemble, and finally — under the shard lock again — offered to the
 // sieve and installed.
-func (s *Store) ReadAt(server, volume int, p []byte, off uint64) (err error) {
-	if err := checkIO(p, off); err != nil {
+func (s *Store) ReadAt(server, volume int, p []byte, off uint64) error {
+	return s.do(opRead, server, volume, p, off)
+}
+
+// do is the one op path of ReadAt and WriteAt: the entry check, begin,
+// the degraded bypass or the kind's cached path, then end.
+func (s *Store) do(kind opKind, server, volume int, p []byte, off uint64) error {
+	if err := checkIO(server, volume, off, len(p)); err != nil {
 		return err
 	}
-	tr := s.beginTrace("read", server, volume, p, off)
-	if s.opts.TrackLatency || tr != nil {
-		start := time.Since(s.monoBase)
-		defer func() {
-			d := time.Since(s.monoBase) - start
-			if s.opts.TrackLatency {
-				s.histRead.Observe(d)
-				if err != nil {
-					s.errRead.Add(1)
+	var o op
+	err := s.begin(&o, kind, server, volume, off, len(p))
+	switch {
+	case err != nil:
+	case o.bypass:
+		err = s.bypass(&o, p)
+	case kind == opRead:
+		err = s.readCached(&o, p)
+	default:
+		err = s.writeCached(&o, p)
+	}
+	return s.end(&o, err)
+}
+
+// bypass serves an op while degraded, straight from or to the backend: no
+// admission, no access logging, no epoch rotation — the degraded store
+// does the minimum that keeps clients correct. A read still serves dirty
+// write-back blocks from the cache, whose frame holds their only current
+// copy. A successful write then drops any cached copies of its range: the
+// cache is not being maintained, so a stale resident frame (or an
+// in-flight fetch of pre-write data) must not survive to be served after
+// recovery.
+func (s *Store) bypass(o *op, p []byte) error {
+	write := o.kind == opWrite
+	var served []bool
+	var dirty int
+	if !write && s.opts.WriteBack {
+		for _, g := range s.groupByShard(o.server, o.volume, o.first, o.n) {
+			g.sh.mu.Lock()
+			for _, i := range g.idxs {
+				key := o.key(i)
+				if g.sh.dirty[key] && g.sh.frames[key] != nil {
+					copy(blockOf(p, i), g.sh.frames[key])
+					served = markServed(served, i, o.n)
+					dirty++
 				}
 			}
-			s.endTrace(tr, d, err)
-		}()
-	}
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if s.degraded.Load() {
-		if tr != nil {
-			tr.Degraded = true
+			g.sh.mu.Unlock()
 		}
-		if !s.probeDue(&s.lastCacheProbe) {
-			return s.bypassRead(server, volume, p, off, tr)
+	}
+	var reqs, bytes int64
+	var err error
+	if dirty < o.n {
+		reqs, bytes, _, err = s.backendRuns(write, o, p, served)
+	}
+	sh := s.shardOf(o.key(0))
+	sh.mu.Lock()
+	if write {
+		sh.stats.Writes += int64(o.n)
+	} else {
+		sh.stats.Reads += int64(o.n)
+		sh.stats.ReadHits += int64(dirty)
+		sh.stats.CacheBytesServed += int64(dirty) * block.Size
+	}
+	sh.stats.chargeBackend(write, reqs, bytes)
+	sh.mu.Unlock()
+	s.tenantAccess(o.server, o.volume, int64(o.n), write)
+	s.tenantHits(o.server, o.volume, int64(dirty))
+	if write {
+		if err != nil {
+			return err
 		}
-		// This caller is the recovery probe: take the normal cached path,
-		// and leave bypass mode if it completes without a fresh cache fault.
-		base := s.cacheFaults.Load()
-		defer func() {
-			if err == nil && s.cacheFaults.Load() == base {
-				s.exitDegraded()
-			}
-		}()
+		s.bypassWrites.Add(int64(o.n))
+		// The whole range was just overwritten in the backend, so a dirty
+		// frame is superseded: drop it without write-back.
+		s.dropRange(o.server, o.volume, o.first, o.n, false)
+	} else {
+		s.bypassReads.Add(int64(o.n))
 	}
-	s.maybeRotate()
-	if s.closed.Load() {
-		return ErrClosed
+	if o.tr != nil {
+		o.tr.Bypass = true
+		o.tr.Hits = dirty
+		o.tr.Misses = o.n - dirty
 	}
-	s.tenantTick()
-	nBlocks := len(p) / block.Size
-	first := off / block.Size
-	s.logAccess(server, volume, first, nBlocks)
-	s.tenantAccess(server, volume, int64(nBlocks), false)
+	return err
+}
+
+// readCached is ReadAt's cached path.
+func (s *Store) readCached(o *op, p []byte) error {
+	s.logAccess(o, o.n)
 
 	// RAM-tier pass: blocks resident in the in-process tier are served
 	// under its read lock plus one atomic reference-bit store — no shard
 	// mutex, no policy bookkeeping. Hit accounting lives in the tier's
 	// own atomics (folded into Stats), so an all-tier read touches no
-	// shard at all. Single-block requests (the hot case) skip the
-	// served-mask allocation: a hit returns here, a miss needs no mask.
-	var tierServed []bool
+	// shard at all.
+	var served []bool // blocks needing no fetch of their own (markServed)
 	var nTier int
 	if s.tier != nil {
-		for i := 0; i < nBlocks; i++ {
-			if s.tier.Lookup(block.MakeKey(server, volume, first+uint64(i)), p[i*block.Size:(i+1)*block.Size]) {
-				if tierServed == nil && nBlocks > 1 {
-					tierServed = make([]bool, nBlocks)
-				}
-				if tierServed != nil {
-					tierServed[i] = true
-				}
+		for i := 0; i < o.n; i++ {
+			if s.tier.Lookup(o.key(i), blockOf(p, i)) {
+				served = markServed(served, i, o.n)
 				nTier++
 			}
 		}
-		if nTier == nBlocks {
-			s.tenantHits(server, volume, int64(nBlocks))
-			if tr != nil {
-				tr.Hits = nBlocks
-				tr.TierHits = nBlocks
-			}
-			return nil
-		}
 	}
-	now := s.now()
 
 	// A miss is either owned (this call fetches it) or joined (another
 	// call's flight will deliver it); idx is the block's position in p.
@@ -1094,38 +1133,34 @@ func (s *Store) ReadAt(server, volume int, p []byte, off uint64) (err error) {
 		sh  *shard
 	}
 	var mine, joined []miss
-	var admitted int
 
 	// Classify run-wise: each maximal run of consecutive blocks mapping to
 	// the same shard is handled in one critical section (with Shards=1 the
 	// whole request is a single critical section, exactly the unsharded
-	// behavior).
-	for i := 0; i < nBlocks; {
-		if tierServed != nil && tierServed[i] {
+	// behavior). An all-tier read has nothing left to classify.
+	for i := 0; nTier < o.n && i < o.n; {
+		if served != nil && served[i] {
 			i++
 			continue
 		}
-		sh := s.shardOf(block.MakeKey(server, volume, first+uint64(i)))
+		sh := s.shardOf(o.key(i))
 		j := i + 1
-		for j < nBlocks && (tierServed == nil || !tierServed[j]) &&
-			s.shardOf(block.MakeKey(server, volume, first+uint64(j))) == sh {
+		for j < o.n && (served == nil || !served[j]) && s.shardOf(o.key(j)) == sh {
 			j++
 		}
 		sh.mu.Lock()
-		sh.stats.Reads += int64(j - i)
 		for ; i < j; i++ {
-			key := block.MakeKey(server, volume, first+uint64(i))
-			if sh.tags.Touch(key) {
-				copy(p[i*block.Size:(i+1)*block.Size], sh.frames[key])
-				sh.stats.ReadHits++
-				sh.stats.CacheBytesServed += block.Size
-				sh.promoteOnHitLocked(key)
+			key := o.key(i)
+			if sh.hitLocked(key, blockOf(p, i)) != nil {
+				served = markServed(served, i, o.n)
 				continue
 			}
+			sh.stats.Reads++
 			if f, ok := sh.inflight[key]; ok {
 				f.waiters++
 				sh.stats.CoalescedReads++
 				joined = append(joined, miss{idx: i, key: key, f: f, sh: sh})
+				served = markServed(served, i, o.n)
 				continue
 			}
 			f := &flight{done: make(chan struct{})}
@@ -1135,77 +1170,52 @@ func (s *Store) ReadAt(server, volume int, p []byte, off uint64) (err error) {
 		sh.mu.Unlock()
 	}
 
-	// Fetch owned misses from the ensemble in contiguous runs — lock-free,
-	// so concurrent callers overlap their backend latency. (Runs follow
-	// block adjacency, not shard boundaries: backend request geometry is
-	// unchanged by sharding.)
 	var fetchErr error
-	var nReads, nBytes int64
-	okUpto := len(mine)
-	for lo := 0; lo < len(mine); {
-		hi := lo + 1
-		for hi < len(mine) && mine[hi].idx == mine[hi-1].idx+1 {
-			hi++
-		}
-		buf := p[mine[lo].idx*block.Size : (mine[hi-1].idx+1)*block.Size]
-		if e := s.backend.ReadAt(server, volume, buf, off+uint64(mine[lo].idx)*block.Size); e != nil {
-			fetchErr = e
-			okUpto = lo
-			break
-		}
-		nReads++
-		nBytes += int64(len(buf))
-		lo = hi
-	}
-
-	// Re-acquire shard by shard to account, admit, and complete the owned
-	// flights. Blocks fetched before a failed run are still admitted
-	// (matching the old run-at-a-time behavior). Backend counters are
-	// charged once, to the first shard touched.
-	charged := nReads == 0 && nBytes == 0
-	for lo := 0; lo < len(mine); {
-		sh := mine[lo].sh
-		hi := lo + 1
-		for hi < len(mine) && mine[hi].sh == sh {
-			hi++
-		}
-		sh.mu.Lock()
-		if !charged {
-			sh.stats.BackendReads += nReads
-			sh.stats.BackendBytesRead += nBytes
-			sh.stats.BackendBytesServedRead += nBytes
-			charged = true
-		}
-		for j := lo; j < hi; j++ {
-			m := mine[j]
-			if j < okUpto {
-				data := p[m.idx*block.Size : (m.idx+1)*block.Size]
-				if !m.f.stale && !s.closed.Load() {
-					if sh.maybeAdmit(m.key, data, block.Read, now, false) {
-						admitted++
-					}
+	var admitted int
+	if len(mine) > 0 {
+		// Fetch owned misses from the ensemble — lock-free, so concurrent
+		// callers overlap their backend latency. (Runs follow block
+		// adjacency, not shard boundaries: backend request geometry is
+		// unchanged by sharding.)
+		reqs, bytes, failedAt, err := s.backendRuns(false, o, p, served)
+		fetchErr = err
+		// Re-acquire shard by shard to account, admit, and complete the
+		// owned flights. Blocks fetched before a failed run are still
+		// admitted. Backend counters are charged once, to the first shard
+		// touched.
+		for lo := 0; lo < len(mine); {
+			sh := mine[lo].sh
+			hi := lo + 1
+			for hi < len(mine) && mine[hi].sh == sh {
+				hi++
+			}
+			sh.mu.Lock()
+			if lo == 0 {
+				sh.stats.chargeBackend(false, reqs, bytes)
+			}
+			for _, m := range mine[lo:hi] {
+				ferr := fetchErr
+				if m.idx < failedAt {
+					ferr = nil
 				}
-				m.f.publishLocked(data)
-			} else {
-				m.f.err = fetchErr
+				if sh.finishFetchLocked(m.key, m.f, blockOf(p, m.idx), ferr, o.now) {
+					admitted++
+				}
 			}
-			if sh.inflight[m.key] == m.f {
-				delete(sh.inflight, m.key)
-			}
-			close(m.f.done)
+			sh.mu.Unlock()
+			lo = hi
 		}
-		sh.mu.Unlock()
-		lo = hi
 	}
 	// Hits include tier-served blocks (skipped from shard classification)
 	// — everything the request found already cached.
-	s.tenantHits(server, volume, int64(nBlocks-len(mine)-len(joined)))
-	if tr != nil {
-		tr.Misses = len(mine)
-		tr.Coalesced = len(joined)
-		tr.Hits = nBlocks - len(mine) - len(joined)
-		tr.TierHits = nTier
-		tr.Admitted = admitted
+	hits := o.n - len(mine) - len(joined)
+	s.tenantHits(o.server, o.volume, int64(hits))
+	if o.tr != nil {
+		o.tr.Misses = len(mine)
+		o.tr.Coalesced = len(joined)
+		o.tr.Hits = hits
+		o.tr.TierHits = nTier
+		o.tr.Admitted = admitted
 	}
 	if fetchErr != nil {
 		return fetchErr
@@ -1214,8 +1224,7 @@ func (s *Store) ReadAt(server, volume int, p []byte, off uint64) (err error) {
 	// Join coalesced misses last: every flight this call owns is already
 	// completed above, so blocking here cannot deadlock.
 	for _, m := range joined {
-		dst := p[m.idx*block.Size : (m.idx+1)*block.Size]
-		if err := s.awaitFlight(m.sh, m.f, m.key, dst); err != nil {
+		if err := s.awaitFlight(m.sh, m.f, m.key, blockOf(p, m.idx)); err != nil {
 			return err
 		}
 	}
@@ -1259,27 +1268,60 @@ func (s *Store) awaitFlight(sh *shard, f *flight, key block.Key, dst []byte) err
 
 		sh.mu.Lock()
 		if err == nil {
-			sh.stats.BackendReads++
-			sh.stats.BackendBytesRead += block.Size
-			sh.stats.BackendBytesServedRead += block.Size
-			if !nf.stale && !s.closed.Load() {
-				// Use the post-fetch clock, not the caller's pre-block one:
-				// this path may have waited on several flights, and a stale
-				// timestamp would admit through a sieve window that has in
-				// fact already expired.
-				sh.maybeAdmit(key, dst, block.Read, s.now(), false)
-			}
-			nf.publishLocked(dst)
-		} else {
-			nf.err = err
+			sh.stats.chargeBackend(false, 1, block.Size)
 		}
-		if sh.inflight[key] == nf {
-			delete(sh.inflight, key)
-		}
-		close(nf.done)
+		// Admit at the post-fetch clock, not the caller's op-start one: this
+		// path may have waited on several flights, and a stale timestamp
+		// would admit through a sieve window that has in fact already
+		// expired.
+		sh.finishFetchLocked(key, nf, dst, err, s.now())
 		sh.mu.Unlock()
 		return err
 	}
+}
+
+// backendRuns issues an op's backend I/O for the blocks of p that skip
+// leaves unmarked (nil skips none): one request per maximal run of
+// consecutive blocks, in block order, stopping at the first failure. It
+// returns the requests and bytes that succeeded and the index of the
+// failed run's first block (o.n when none failed).
+func (s *Store) backendRuns(write bool, o *op, p []byte, skip []bool) (reqs, bytes int64, failedAt int, err error) {
+	for i := 0; i < o.n; {
+		if skip != nil && skip[i] {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < o.n && (skip == nil || !skip[j]) {
+			j++
+		}
+		buf, off := p[i*block.Size:j*block.Size], (o.first+uint64(i))*block.Size
+		if write {
+			err = s.backend.WriteAt(o.server, o.volume, buf, off)
+		} else {
+			err = s.backend.ReadAt(o.server, o.volume, buf, off)
+		}
+		if err != nil {
+			return reqs, bytes, i, err
+		}
+		reqs++
+		bytes += int64(len(buf))
+		i = j
+	}
+	return reqs, bytes, o.n, nil
+}
+
+// chargeBackend counts backend requests and bytes that succeeded; read
+// bytes are also bytes served to the client from the backend.
+func (st *Stats) chargeBackend(write bool, reqs, bytes int64) {
+	if write {
+		st.BackendWrites += reqs
+		st.BackendBytesWritten += bytes
+		return
+	}
+	st.BackendReads += reqs
+	st.BackendBytesRead += bytes
+	st.BackendBytesServedRead += bytes
 }
 
 // writeGroup is the slice of a write's block indices that map to one
@@ -1322,64 +1364,25 @@ func (s *Store) groupByShard(server, volume int, first uint64, n int) []writeGro
 // serializes overlapping writes so backend order and cache order cannot
 // invert, and (b) lets concurrent read misses on these keys coalesce onto
 // the written data instead of racing the write with a backend fetch.
-func (s *Store) WriteAt(server, volume int, p []byte, off uint64) (err error) {
-	if err := checkIO(p, off); err != nil {
-		return err
-	}
-	tr := s.beginTrace("write", server, volume, p, off)
-	if s.opts.TrackLatency || tr != nil {
-		start := time.Since(s.monoBase)
-		defer func() {
-			d := time.Since(s.monoBase) - start
-			if s.opts.TrackLatency {
-				s.histWrite.Observe(d)
-				if err != nil {
-					s.errWrite.Add(1)
-				}
-			}
-			s.endTrace(tr, d, err)
-		}()
-	}
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if s.degraded.Load() {
-		if tr != nil {
-			tr.Degraded = true
-		}
-		if !s.probeDue(&s.lastCacheProbe) {
-			return s.bypassWrite(server, volume, p, off, tr)
-		}
-		base := s.cacheFaults.Load()
-		defer func() {
-			if err == nil && s.cacheFaults.Load() == base {
-				s.exitDegraded()
-			}
-		}()
-	}
-	s.maybeRotate()
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	s.tenantTick()
-	now := s.now()
-	nBlocks := len(p) / block.Size
-	first := off / block.Size
-	s.logAccess(server, volume, first, nBlocks)
-	s.tenantAccess(server, volume, int64(nBlocks), true)
+func (s *Store) WriteAt(server, volume int, p []byte, off uint64) error {
+	return s.do(opWrite, server, volume, p, off)
+}
 
-	groups := s.groupByShard(server, volume, first, nBlocks)
-	flights := make([]*flight, nBlocks)
+// writeCached is WriteAt's cached path.
+func (s *Store) writeCached(o *op, p []byte) error {
+	s.logAccess(o, o.n)
+	groups := s.groupByShard(o.server, o.volume, o.first, o.n)
+	flights := make([]*flight, o.n)
 	for gi, g := range groups {
 		g.sh.mu.Lock()
 		g.sh.stats.Writes += int64(len(g.idxs))
-		fs, rerr := g.sh.reserveLocked(server, volume, first, g.idxs)
+		fs, rerr := g.sh.reserveLocked(o.server, o.volume, o.first, g.idxs)
 		if rerr != nil {
 			g.sh.mu.Unlock()
 			// Release the reservations already held in earlier shards.
 			for _, pg := range groups[:gi] {
 				pg.sh.mu.Lock()
-				pg.sh.completeLocked(server, volume, first, pg.idxs, flights, nil, rerr)
+				pg.sh.completeLocked(o.server, o.volume, o.first, pg.idxs, flights, nil, rerr)
 				pg.sh.mu.Unlock()
 			}
 			return rerr
@@ -1390,123 +1393,75 @@ func (s *Store) WriteAt(server, volume int, p []byte, off uint64) (err error) {
 		g.sh.mu.Unlock()
 	}
 
-	if !s.opts.WriteBack {
-		// Write-through: the backend is always authoritative. Write it
-		// first (unlocked), then fold the data into the cache shard by
-		// shard.
-		var hits, admitted int
-		werr := s.backend.WriteAt(server, volume, p, off)
-		for gi, g := range groups {
+	var t writeTally
+	var reqs, bytes int64
+	var werr error
+	if s.opts.WriteBack {
+		// Write-back: cached (and newly admitted) blocks absorb the write
+		// and are marked dirty; only the remaining blocks reach the
+		// backend now.
+		var absorbed []bool
+		for _, g := range groups {
 			g.sh.mu.Lock()
-			if werr == nil {
-				if gi == 0 {
-					g.sh.stats.BackendWrites++
-					g.sh.stats.BackendBytesWritten += int64(len(p))
-				}
-				for _, i := range g.idxs {
-					key := block.MakeKey(server, volume, first+uint64(i))
-					// The backend holds the new data: a RAM-tier copy (the
-					// tier can outlive SSD residency) is stale now. Under
-					// this shard's lock, so no reader can re-promote the old
-					// frame in between.
-					s.tierInvalidate(key)
-					if flights[i].stale || s.closed.Load() {
-						continue // invalidated (or store closed) mid-write
-					}
-					data := p[i*block.Size : (i+1)*block.Size]
-					if g.sh.tags.Touch(key) {
-						g.sh.writeFrameLocked(key, data)
-						g.sh.stats.WriteHits++
-						hits++
-						continue
-					}
-					if g.sh.maybeAdmit(key, data, block.Write, now, false) {
-						admitted++
-					}
+			for _, i := range g.idxs {
+				if g.sh.absorbLocked(o, i, blockOf(p, i), flights[i], &t) {
+					absorbed = markServed(absorbed, i, o.n)
 				}
 			}
-			g.sh.completeLocked(server, volume, first, g.idxs, flights, p, werr)
 			g.sh.mu.Unlock()
 		}
-		s.tenantHits(server, volume, int64(hits))
-		if tr != nil {
-			tr.Hits = hits
-			tr.Misses = nBlocks - hits
-			tr.Admitted = admitted
+		if t.hits+t.admitted < o.n {
+			reqs, bytes, _, werr = s.backendRuns(true, o, p, absorbed)
 		}
-		return werr
-	}
-
-	// Write-back: cached (and newly admitted) blocks absorb the write and
-	// are marked dirty; only the remaining blocks reach the backend now.
-	// A block whose reservation went stale (invalidated between our
-	// reservation and this pass), or a store closed meanwhile (Close may
-	// already have drained this shard), must not park dirty data in the
-	// cache: it writes through instead.
-	through := make([]bool, nBlocks)
-	var hits, admitted int
-	for _, g := range groups {
-		g.sh.mu.Lock()
-		for _, i := range g.idxs {
-			key := block.MakeKey(server, volume, first+uint64(i))
-			// Whether the write lands dirty in the cache or goes through to
-			// the backend below, any RAM-tier copy is superseded.
-			s.tierInvalidate(key)
-			if flights[i].stale || s.closed.Load() {
-				through[i] = true
-				continue
-			}
-			data := p[i*block.Size : (i+1)*block.Size]
-			if g.sh.tags.Touch(key) {
-				g.sh.writeFrameLocked(key, data)
-				g.sh.dirty[key] = true
-				g.sh.stats.WriteHits++
-				hits++
-				continue
-			}
-			if g.sh.tryAdmit(key, data, block.Write, now, true) {
-				admitted++
-				continue
-			}
-			through[i] = true
-		}
-		g.sh.mu.Unlock()
-	}
-	s.tenantHits(server, volume, int64(hits))
-	if tr != nil {
-		tr.Hits = hits
-		tr.Misses = nBlocks - hits
-		tr.Admitted = admitted
-	}
-
-	var werr error
-	var nWrites, nBytes int64
-	for i := 0; i < nBlocks && werr == nil; {
-		if !through[i] {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < nBlocks && through[j] {
-			j++
-		}
-		buf := p[i*block.Size : j*block.Size]
-		if werr = s.backend.WriteAt(server, volume, buf, off+uint64(i)*block.Size); werr == nil {
-			nWrites++
-			nBytes += int64(len(buf))
-		}
-		i = j
+	} else {
+		// Write-through: the backend is always authoritative. Write it
+		// first (unlocked); the cache absorbs the data shard by shard
+		// below.
+		reqs, bytes, _, werr = s.backendRuns(true, o, p, nil)
 	}
 	for gi, g := range groups {
 		g.sh.mu.Lock()
 		if gi == 0 {
-			g.sh.stats.BackendWrites += nWrites
-			g.sh.stats.BackendBytesWritten += nBytes
+			g.sh.stats.chargeBackend(true, reqs, bytes)
 		}
-		g.sh.completeLocked(server, volume, first, g.idxs, flights, p, werr)
+		if !s.opts.WriteBack && werr == nil {
+			for _, i := range g.idxs {
+				g.sh.absorbLocked(o, i, blockOf(p, i), flights[i], &t)
+			}
+		}
+		g.sh.completeLocked(o.server, o.volume, o.first, g.idxs, flights, p, werr)
 		g.sh.mu.Unlock()
 	}
+	s.tenantHits(o.server, o.volume, int64(t.hits))
+	if o.tr != nil {
+		o.tr.Hits = t.hits
+		o.tr.Misses = o.n - t.hits
+		o.tr.Admitted = t.admitted
+	}
 	return werr
+}
+
+// dropRange runs the key-drop stage over [first, first+n), shard by shard
+// in ascending order, and returns how many blocks were resident. flush
+// writes a dirty block back before dropping it; on a write-back failure
+// the block stays and the error is returned.
+func (s *Store) dropRange(server, volume int, first uint64, n int, flush bool) (int, error) {
+	dropped := 0
+	for _, g := range s.groupByShard(server, volume, first, n) {
+		g.sh.mu.Lock()
+		for _, i := range g.idxs {
+			resident, err := g.sh.dropLocked(block.MakeKey(server, volume, first+uint64(i)), flush)
+			if err != nil {
+				g.sh.mu.Unlock()
+				return dropped, err
+			}
+			if resident {
+				dropped++
+			}
+		}
+		g.sh.mu.Unlock()
+	}
+	return dropped, nil
 }
 
 // Flush writes every currently-dirty block back to the ensemble
@@ -1556,14 +1511,19 @@ func (s *Store) Flush() error {
 
 // flushAll is one staged write-back sweep over every shard.
 func (s *Store) flushAll() error {
+	return s.eachShard(func(sh *shard) error { return sh.flushStagedLocked(nil) })
+}
+
+// eachShard runs fn under each shard's lock, in ascending order, and
+// returns the first error; a failure does not stop the sweep.
+func (s *Store) eachShard(fn func(sh *shard) error) error {
 	var err error
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		ferr := sh.flushStagedLocked(nil)
-		sh.mu.Unlock()
-		if err == nil {
+		if ferr := fn(sh); err == nil {
 			err = ferr
 		}
+		sh.mu.Unlock()
 	}
 	return err
 }
@@ -1604,18 +1564,19 @@ func contiguousRuns(keys []block.Key, include func(int) bool) []keyRun {
 	return runs
 }
 
-// forEachRun invokes do(ri, run) with bounded parallelism. After the first
-// error no new runs are started; the first error is returned. do must
-// confine its writes to per-run state (indexed by ri) — forEachRun
+// forEach invokes do(i) for every i in [0, n) on at most
+// transitionWorkers goroutines — inline, with no goroutine, when n ≤ 1.
+// After the first error no new calls are started; the first error is
+// returned. do must confine its writes to per-index state — forEach
 // provides the happens-before edge back to the caller.
-func forEachRun(runs []keyRun, do func(ri int, r keyRun) error) error {
+func forEach(n int, do func(i int) error) error {
 	workers := transitionWorkers
-	if workers > len(runs) {
-		workers = len(runs)
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for ri, r := range runs {
-			if err := do(ri, r); err != nil {
+		for i := 0; i < n; i++ {
+			if err := do(i); err != nil {
 				return err
 			}
 		}
@@ -1633,14 +1594,14 @@ func forEachRun(runs []keyRun, do func(ri int, r keyRun) error) error {
 			defer wg.Done()
 			for {
 				mu.Lock()
-				if first != nil || next >= len(runs) {
+				if first != nil || next >= n {
 					mu.Unlock()
 					return
 				}
-				ri := next
+				i := next
 				next++
 				mu.Unlock()
-				if err := do(ri, runs[ri]); err != nil {
+				if err := do(i); err != nil {
 					mu.Lock()
 					if first == nil {
 						first = err
@@ -1669,7 +1630,8 @@ func (s *Store) fetchBatch(keys []block.Key) (map[block.Key][]byte, int64, int64
 	runs := contiguousRuns(sorted, nil)
 	bufs := make([][]byte, len(sorted))
 	ran := make([]bool, len(runs))
-	err := forEachRun(runs, func(ri int, r keyRun) error {
+	err := forEach(len(runs), func(ri int) error {
+		r := runs[ri]
 		n := r.hi - r.lo
 		buf := make([]byte, n*block.Size)
 		k0 := sorted[r.lo]
@@ -1701,35 +1663,6 @@ func (s *Store) fetchBatch(keys []block.Key) (map[block.Key][]byte, int64, int64
 
 // now returns the injected current time.
 func (s *Store) now() time.Time { return s.opts.Now() }
-
-// beginTrace starts a sampled op-lifecycle record, or returns nil when
-// this operation is not sampled (the common case: one atomic add).
-func (s *Store) beginTrace(op string, server, volume int, p []byte, off uint64) *metrics.OpTrace {
-	if s.trace == nil || !s.trace.Sample() {
-		return nil
-	}
-	return &metrics.OpTrace{
-		StartNS: s.now().UnixNano(),
-		Op:      op,
-		Server:  server,
-		Volume:  volume,
-		Offset:  off,
-		Blocks:  len(p) / block.Size,
-		Shard:   s.shardIndex(block.MakeKey(server, volume, off/block.Size)),
-	}
-}
-
-// endTrace finishes and records a sampled trace (no-op for nil).
-func (s *Store) endTrace(tr *metrics.OpTrace, d time.Duration, err error) {
-	if tr == nil {
-		return
-	}
-	tr.LatencyNS = d.Nanoseconds()
-	if err != nil {
-		tr.Err = err.Error()
-	}
-	s.trace.Record(*tr)
-}
 
 // Traces returns the sampled operation lifecycle records, newest first
 // (nil when Options.TraceSample is 0).
@@ -1787,9 +1720,11 @@ var testLogHook func()
 // operations are running.
 var testSpillFault func() error
 
-// logAccess records the access for the offline sieve (VariantD only). It
-// runs before any shard lock is taken: the logger's buffered file I/O
-// (including its 64 KiB buffer flushes) must never stall concurrent hits.
+// logAccess is the per-op access step for the op's first n blocks: it
+// charges the tenant's access and records the access for the offline
+// sieve (VariantD only). It runs before any shard lock is taken: the
+// logger's buffered file I/O (including its 64 KiB buffer flushes) must
+// never stall concurrent hits.
 //
 // Logging failures must not fail the I/O path; the worst case is a slightly
 // stale epoch selection. They are surfaced via Close — and after
@@ -1797,14 +1732,15 @@ var testSpillFault func() error
 // for the rest of the epoch (the spill device is presumed sick). One probe
 // per DegradedProbeEvery retries; a success, or the epoch rotation's log
 // reset, re-enables logging.
-func (s *Store) logAccess(server, volume int, first uint64, nBlocks int) {
+func (s *Store) logAccess(o *op, n int) {
+	s.tenantAccess(o.server, o.volume, int64(n), o.kind == opWrite)
 	if s.logger == nil {
 		return
 	}
 	if h := testLogHook; h != nil {
 		h()
 	}
-	if s.spillDisabled.Load() && !s.probeDue(&s.lastSpillProbe) {
+	if s.spillDisabled.Load() && !s.probeDue(&s.lastSpillProbe, o.now) {
 		return
 	}
 	var err error
@@ -1812,23 +1748,23 @@ func (s *Store) logAccess(server, volume int, first uint64, nBlocks int) {
 		err = f()
 	}
 	if err == nil {
-		if nBlocks == 1 {
-			err = s.logger.Log(block.MakeKey(server, volume, first))
+		if n == 1 {
+			err = s.logger.Log(o.key(0))
 		} else {
-			keys := make([]block.Key, nBlocks)
+			keys := make([]block.Key, n)
 			for i := range keys {
-				keys[i] = block.MakeKey(server, volume, first+uint64(i))
+				keys[i] = o.key(i)
 			}
 			err = s.logger.LogBatch(keys)
 		}
 	}
-	s.noteSpill(err)
+	s.noteSpill(err, o.now)
 }
 
 // noteSpill tracks consecutive access-log failures and flips the
 // spill-disable switch across the threshold (or back, on a successful
-// probe).
-func (s *Store) noteSpill(err error) {
+// probe), for an access logged at now.
+func (s *Store) noteSpill(err error, now time.Time) {
 	if err == nil {
 		s.spillFaultStreak.Store(0)
 		s.spillDisabled.Store(false)
@@ -1838,7 +1774,7 @@ func (s *Store) noteSpill(err error) {
 	thr := int64(s.opts.DegradedFaultThreshold)
 	if thr > 0 && streak >= thr && s.spillDisabled.CompareAndSwap(false, true) {
 		s.spillDisables.Add(1)
-		s.lastSpillProbe.Store(s.now().UnixNano())
+		s.lastSpillProbe.Store(now.UnixNano())
 	}
 }
 
@@ -1848,16 +1784,14 @@ func (s *Store) updateDeadlineLocked() {
 	s.deadline.Store(s.start.Add(time.Duration(s.curEpoch+1) * s.opts.Epoch).UnixNano())
 }
 
-// maybeRotate rotates VariantD epochs that have elapsed. The hot path
-// pays one atomic deadline load; past the deadline, the rotation runs
-// inline in the triggering caller with no shard lock held across its
-// backend I/O. Callers arriving meanwhile see rotating and proceed
-// without blocking (the in-progress rotation covers the due boundary).
-func (s *Store) maybeRotate() {
-	if s.logger == nil {
-		return
-	}
-	if s.now().UnixNano() < s.deadline.Load() {
+// maybeRotate rotates VariantD epochs that have elapsed by the op time
+// now. The hot path pays one atomic deadline load; past the deadline, the
+// rotation runs inline in the triggering caller with no shard lock held
+// across its backend I/O. Callers arriving meanwhile see rotating and
+// proceed without blocking (the in-progress rotation covers the due
+// boundary).
+func (s *Store) maybeRotate(now time.Time) {
+	if s.logger == nil || now.UnixNano() < s.deadline.Load() {
 		return
 	}
 	s.rotMu.Lock()
@@ -1876,27 +1810,30 @@ func (s *Store) maybeRotate() {
 		// still accumulating — exactly the unsharded retry schedule.
 		s.curEpoch++
 		s.updateDeadlineLocked()
-		s.rotating = true
-		s.rotMu.Unlock()
-		committed, err := s.rotateStaged()
-		s.rotMu.Lock()
-		s.rotating = false
-		s.rotCond.Broadcast()
-		if err != nil {
-			// An aborted transition touched nothing: the spill logs and
-			// the previous epoch's cache set are intact. A post-commit
-			// reset failure is counted separately (ResetFailures, inside
-			// rotateStaged) — the rotation itself took effect.
-			if !committed {
-				s.rotateFailures.Add(1)
-			}
-			break
-		}
-		if s.closed.Load() {
+		if _, err := s.rotateLocked(); err != nil || s.closed.Load() {
 			break
 		}
 	}
 	s.rotMu.Unlock()
+}
+
+// rotateLocked runs one staged epoch transition, owning the rotating flag
+// and releasing rotMu (which the caller holds) around it, and counts an
+// abort. An aborted transition touched nothing: the spill logs and the
+// previous epoch's cache set are intact. A post-commit reset failure is
+// counted separately (ResetFailures, inside rotateStaged) — the rotation
+// itself took effect.
+func (s *Store) rotateLocked() (committed bool, err error) {
+	s.rotating = true
+	s.rotMu.Unlock()
+	committed, err = s.rotateStaged()
+	s.rotMu.Lock()
+	s.rotating = false
+	s.rotCond.Broadcast()
+	if !committed {
+		s.rotateFailures.Add(1)
+	}
+	return committed, err
 }
 
 // RotateEpoch forces an immediate SieveStore-D epoch boundary: the current
@@ -1924,24 +1861,17 @@ func (s *Store) RotateEpoch() error {
 		s.rotMu.Unlock()
 		return ErrClosed
 	}
-	s.rotating = true
-	s.rotMu.Unlock()
-	committed, err := s.rotateStaged()
-	s.rotMu.Lock()
-	s.rotating = false
-	s.rotCond.Broadcast()
-	if !committed {
-		s.rotateFailures.Add(1)
-		s.rotMu.Unlock()
-		return err
+	committed, err := s.rotateLocked()
+	if committed {
+		// Restart the schedule: the next automatic rotation is one full
+		// Epoch from now. (start is only used for epoch scheduling under
+		// VariantD.) The boundary took effect even if the post-commit log
+		// reset failed — that error is returned but counted in
+		// ResetFailures, not as an abort.
+		s.start = s.now()
+		s.curEpoch = 0
+		s.updateDeadlineLocked()
 	}
-	// Restart the schedule: the next automatic rotation is one full Epoch
-	// from now. (start is only used for epoch scheduling under VariantD.)
-	// The boundary took effect even if the post-commit log reset failed —
-	// that error is returned but counted in ResetFailures, not as an abort.
-	s.start = s.now()
-	s.curEpoch = 0
-	s.updateDeadlineLocked()
 	s.rotMu.Unlock()
 	return err
 }
@@ -1970,13 +1900,15 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 		sh.rotSkip = make(map[block.Key]bool)
 		sh.mu.Unlock()
 	}
-	disarm := func() {
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			sh.rotSkip = nil
-			sh.mu.Unlock()
+	defer func() {
+		if !committed { // abort: disarm every shard
+			for _, sh := range s.shards {
+				sh.mu.Lock()
+				sh.rotSkip = nil
+				sh.mu.Unlock()
+			}
 		}
-	}
+	}()
 
 	// Quotas repartition at every epoch boundary: the ending epoch's
 	// per-tenant hits are the freshest demand signal, and the selection
@@ -1988,7 +1920,6 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 	// Stage 1: reduce the logs and select the new set — no locks held.
 	selected, err := s.logger.Select(s.opts.DThreshold)
 	if err != nil {
-		disarm()
 		return false, err
 	}
 	// Tenant quotas clip the hottest-first selection before the capacity
@@ -2019,12 +1950,6 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 		} else {
 			splitOverflow++
 		}
-	}
-	if splitOverflow > 0 {
-		sh0 := s.shards[0]
-		sh0.mu.Lock()
-		sh0.stats.SelectOverflow += splitOverflow
-		sh0.mu.Unlock()
 	}
 
 	// Stage 2: fetch the selected blocks that are not already resident —
@@ -2065,19 +1990,19 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 		sh.mu.Unlock()
 	}
 	fetched, nReads, nBytes, err := s.fetchBatch(need)
-	if nReads > 0 || nBytes > 0 {
+	// The split overflow and the batch reads are charged to shard 0.
+	if splitOverflow > 0 || nReads > 0 {
 		sh0 := s.shards[0]
 		sh0.mu.Lock()
+		sh0.stats.SelectOverflow += splitOverflow
 		sh0.stats.BackendReads += nReads
 		sh0.stats.BackendBytesRead += nBytes
 		sh0.mu.Unlock()
 	}
 	if err != nil {
-		disarm()
 		return false, err
 	}
 	if s.closed.Load() {
-		disarm()
 		return false, ErrClosed
 	}
 
@@ -2095,12 +2020,10 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 		ferr := sh.flushStagedLocked(func(k block.Key) bool { return !inNew[k] })
 		sh.mu.Unlock()
 		if ferr != nil {
-			disarm()
 			return false, ferr
 		}
 	}
 	if s.closed.Load() {
-		disarm()
 		return false, ErrClosed
 	}
 
@@ -2136,8 +2059,13 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 	return true, nil
 }
 
-// Contains reports whether a block is currently cached (test/debug aid).
+// Contains reports whether a block is currently cached (test/debug aid);
+// false for ids or offsets a block.Key cannot address.
 func (s *Store) Contains(server, volume int, off uint64) bool {
+	off -= off % block.Size
+	if checkIO(server, volume, off, block.Size) != nil {
+		return false
+	}
 	key := block.MakeKey(server, volume, off/block.Size)
 	sh := s.shardOf(key)
 	sh.mu.Lock()
@@ -2150,55 +2078,13 @@ func (s *Store) Contains(server, volume int, off uint64) bool {
 // ensemble is modified outside the Store (the write-through design makes
 // this unnecessary for I/O that goes through the Store itself).
 func (s *Store) Invalidate(server, volume int, off uint64, length int) (int, error) {
-	if off%block.Size != 0 || length%block.Size != 0 || length <= 0 {
-		return 0, ErrAlignment
-	}
-	if end := off + uint64(length); end < off || (end-1)/block.Size > block.MaxBlockNumber {
-		return 0, ErrRange
+	if err := checkIO(server, volume, off, length); err != nil {
+		return 0, err
 	}
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	first := off / block.Size
-	dropped := 0
-	for _, g := range s.groupByShard(server, volume, first, length/block.Size) {
-		g.sh.mu.Lock()
-		for _, i := range g.idxs {
-			key := block.MakeKey(server, volume, first+uint64(i))
-			// The RAM tier can hold blocks the SSD tier has since evicted,
-			// so its copy is dropped regardless of SSD residency (not
-			// counted in dropped, which reports SSD-resident blocks).
-			s.tierInvalidate(key)
-			// A fetch or write in flight for this key would re-install data
-			// from before the invalidation: mark it stale so its owner skips
-			// the install, and detach it so later misses fetch fresh.
-			if f, ok := g.sh.inflight[key]; ok {
-				f.stale = true
-				delete(g.sh.inflight, key)
-			}
-			// An epoch transition staging right now may have fetched this
-			// block already; its swap must not resurrect invalidated data.
-			if g.sh.rotSkip != nil {
-				g.sh.rotSkip[key] = true
-			}
-			if !g.sh.tags.Contains(key) {
-				continue
-			}
-			// A dirty block holds the only current copy: write it back
-			// before dropping, or the data would be lost.
-			if g.sh.dirty[key] {
-				if err := g.sh.flushBlock(key); err != nil {
-					g.sh.mu.Unlock()
-					return dropped, err
-				}
-			}
-			g.sh.tags.Remove(key)
-			g.sh.recycleLocked(g.sh.frames[key])
-			delete(g.sh.frames, key)
-			g.sh.tenantEvict(key)
-			dropped++
-		}
-		g.sh.mu.Unlock()
-	}
-	return dropped, nil
+	// A dirty block holds the only current copy: write it back before
+	// dropping, or the data would be lost.
+	return s.dropRange(server, volume, off/block.Size, length/block.Size, true)
 }

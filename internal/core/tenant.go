@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/block"
 	"repro/internal/tenant"
 )
@@ -38,11 +40,12 @@ func (s *Store) tenantHits(server, volume int, hits int64) {
 	}
 }
 
-// tenantTick runs a time-driven quota repartition when due (one atomic
-// load when it is not). Called from the op path next to maybeRotate.
-func (s *Store) tenantTick() {
+// tenantTick runs a time-driven quota repartition when due at the op
+// time now (one atomic load when it is not). Called from the op path next
+// to maybeRotate.
+func (s *Store) tenantTick(now time.Time) {
 	if s.acct != nil {
-		s.acct.MaybeRepartition(s.now())
+		s.acct.MaybeRepartition(now)
 	}
 }
 
@@ -62,10 +65,10 @@ func (sh *shard) tenantEvict(key block.Key) {
 	}
 }
 
-// tenantAllocWrite charges blocks of SSD allocation-writes against
-// key's tenant endurance budget.
-func (sh *shard) tenantAllocWrite(key block.Key, blocks int64) {
+// tenantAllocWrite charges blocks of SSD allocation-writes, made at now,
+// against key's tenant endurance budget.
+func (sh *shard) tenantAllocWrite(key block.Key, blocks int64, now time.Time) {
 	if a := sh.store.acct; a != nil {
-		a.OnAllocWrite(tenant.IDOf(key), blocks, sh.store.now())
+		a.OnAllocWrite(tenant.IDOf(key), blocks, now)
 	}
 }

@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // IOVec is one extent of a scatter/gather batch handed to ReadVec or
 // WriteVec: len(P) bytes of volume (Server, Volume) at byte offset Off.
 type IOVec struct {
@@ -24,51 +22,11 @@ func (s *Store) ReadVec(vecs []IOVec) error { return s.eachVec(vecs, s.ReadAt) }
 // unapplied extents — like independent concurrent WriteAt calls would.
 func (s *Store) WriteVec(vecs []IOVec) error { return s.eachVec(vecs, s.WriteAt) }
 
-// eachVec fans the extents out over at most transitionWorkers goroutines.
-// A single-extent batch runs inline with no goroutine.
+// eachVec fans the extents out over forEach's bounded worker pool; a
+// single-extent batch runs inline with no goroutine.
 func (s *Store) eachVec(vecs []IOVec, op func(server, volume int, p []byte, off uint64) error) error {
-	switch len(vecs) {
-	case 0:
-		return nil
-	case 1:
-		v := vecs[0]
+	return forEach(len(vecs), func(i int) error {
+		v := vecs[i]
 		return op(v.Server, v.Volume, v.P, v.Off)
-	}
-	workers := transitionWorkers
-	if workers > len(vecs) {
-		workers = len(vecs)
-	}
-	var (
-		mu    sync.Mutex
-		next  int
-		first error
-		wg    sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if first != nil || next >= len(vecs) {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-				v := vecs[i]
-				if err := op(v.Server, v.Volume, v.P, v.Off); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
+	})
 }
